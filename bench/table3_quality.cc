@@ -1,6 +1,8 @@
 // Reproduces Table 3 of the paper: precision, recall, and F1 of HoloClean
 // against Holistic, KATARA, and SCARE on the four datasets (per-dataset
-// pruning threshold τ in parentheses, as in the paper).
+// pruning threshold τ in parentheses, as in the paper). HoloClean's F1 per
+// dataset is also appended to the HOLOCLEAN_BENCH_JSON metrics file as
+// holoclean_f1_<dataset>.
 
 #include <cstdio>
 
@@ -58,6 +60,8 @@ int main() {
     PrintRow({name + " (" + Fmt(PaperTau(name), 1) + ")", Cell(holo.eval),
               Cell(holistic_eval), katara_cell, Cell(scare_eval)},
              widths);
+    // CI gates each dataset's F1 against a floor (bench-smoke job).
+    AppendBenchMetric("table3_quality", "holoclean_f1_" + name, holo.eval.f1);
     holo_f1_sum += holo.eval.f1;
     double best = std::max(
         {holistic_eval.f1, katara_eval.f1, scare_eval.f1});

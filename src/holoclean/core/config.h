@@ -4,6 +4,8 @@
 #include <cstdint>
 #include <string>
 
+#include "holoclean/infer/gibbs.h"
+#include "holoclean/infer/learner.h"
 #include "holoclean/model/grounding.h"
 #include "holoclean/model/weight_initializer.h"
 
@@ -62,28 +64,14 @@ struct HoloCleanConfig {
   int gibbs_burn_in = 10;
   int gibbs_samples = 50;
 
-  /// Compiled inference kernel for the learn/infer stages: dense weight
-  /// ids, CSR feature arenas, and precomputed DC violation tables (see
-  /// model/compiled_graph.h). Bit-identical results to the reference
-  /// FactorGraph interpreter for any seed and thread count — this knob
-  /// only trades compile-once setup cost for much faster hot loops, so it
-  /// is deliberately excluded from the snapshot config fingerprint. Off
-  /// switches back to the reference path (A/B comparisons, debugging).
-  bool compiled_kernel = true;
-  /// Max candidate-combination entries precomputed per DC factor; factors
-  /// whose candidate cross-product exceeds the cap fall back to
-  /// evaluator-based scoring (bit-identical, just slower). Also excluded
-  /// from the config fingerprint.
-  size_t dc_table_cap = 4096;
-
   /// Columnar fast paths for detect/compile: violation detection over
   /// per-column dictionary codes, co-occurrence counting passes, flat-run
   /// domain pruning, and context-run grounding features. Storage itself is
   /// always columnar (ColumnStore behind Table); this knob only selects the
   /// scan algorithms and is bit-identical to the row reference paths for
-  /// any seed and thread count, so — like `compiled_kernel` — it is
-  /// excluded from the snapshot config fingerprint. Off switches back to
-  /// the row reference path (A/B comparisons, differential tests).
+  /// any seed and thread count, so it is excluded from the snapshot config
+  /// fingerprint. Off switches back to the row reference path (A/B
+  /// comparisons, differential tests).
   bool columnar = true;
 
   /// Master seed for every randomized component.
@@ -104,6 +92,26 @@ struct HoloCleanConfig {
     w.support_prior = support_prior;
     w.source_trust_scale = source_trust_scale;
     return w;
+  }
+
+  /// Translates to the SGD options of the learn stage.
+  LearnerOptions ToLearnerOptions() const {
+    LearnerOptions l;
+    l.epochs = epochs;
+    l.learning_rate = learning_rate;
+    l.lr_decay = lr_decay;
+    l.l2 = l2;
+    l.seed = seed ^ 0x5851F42D4C957F2DULL;
+    return l;
+  }
+
+  /// Translates to the Gibbs options of the infer stage (no pool).
+  GibbsOptions ToGibbsOptions() const {
+    GibbsOptions g;
+    g.burn_in = gibbs_burn_in;
+    g.samples = gibbs_samples;
+    g.seed = seed ^ 0x2545F4914F6CDD1DULL;
+    return g;
   }
 
   /// Translates to the grounding-engine options.

@@ -174,20 +174,6 @@ void Session::UpdateConfig(const HoloCleanConfig& config) {
       config.gibbs_samples != cur.gibbs_samples) {
     touch(StageId::kInfer);
   }
-  // The compiled kernel produces bit-identical results, so toggling it (or
-  // moving the violation-table cap) re-runs from learn only so an A/B
-  // comparison actually exercises the requested path — and a cap change
-  // drops the cached compiled view, which bakes the cap in at build time.
-  if (config.compiled_kernel != cur.compiled_kernel ||
-      config.dc_table_cap != cur.dc_table_cap) {
-    touch(StageId::kLearn);
-  }
-  // Drop the cached compiled view when it can no longer be used as-is: a
-  // cap change bakes differently, and a disabled kernel should not keep
-  // tens of MB of arenas alive (EnsureCompiled rebuilds on re-enable).
-  if (config.dc_table_cap != cur.dc_table_cap || !config.compiled_kernel) {
-    ctx_.compiled.reset();
-  }
   // A shared pool is engine property: num_threads only governs private
   // pools (results are thread-count invariant either way).
   bool pool_changed =

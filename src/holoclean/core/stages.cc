@@ -4,7 +4,6 @@
 
 #include "holoclean/infer/gibbs.h"
 #include "holoclean/infer/learner.h"
-#include "holoclean/model/weight_initializer.h"
 #include "holoclean/util/rng.h"
 
 namespace holoclean {
@@ -245,31 +244,10 @@ class LearnStage : public PipelineStage {
   StageId id() const override { return StageId::kLearn; }
 
   Status Run(PipelineContext* ctx) override {
-    HOLO_RETURN_NOT_OK(ctx->EnsureGraph());
-    const HoloCleanConfig& config = ctx->config;
-    WeightInitInput input;
-    input.table = &ctx->dataset->dirty();
-    input.attrs = &ctx->attrs;
-    input.dcs = ctx->dcs;
-    input.num_dicts = ctx->dicts == nullptr ? 0 : ctx->dicts->size();
-    input.source_attr =
-        ctx->dataset->has_source_attr() ? ctx->dataset->source_attr() : -1;
-    WeightInitializer initializer(config.ToWeightInitOptions());
-    ctx->weights = initializer.Initialize(input);
-
-    LearnerOptions options;
-    options.epochs = config.epochs;
-    options.learning_rate = config.learning_rate;
-    options.lr_decay = config.lr_decay;
-    options.l2 = config.l2;
-    options.seed = config.seed ^ 0x5851F42D4C957F2DULL;
-    SgdLearner learner(&ctx->graph, options);
-    if (config.compiled_kernel) {
-      HOLO_RETURN_NOT_OK(ctx->EnsureCompiled());
-      learner.Train(*ctx->compiled, &ctx->weights);
-    } else {
-      learner.Train(&ctx->weights);
-    }
+    HOLO_RETURN_NOT_OK(ctx->EnsureCompiled());
+    ctx->weights = ctx->InitialWeights();
+    SgdLearner learner(&ctx->graph, ctx->config.ToLearnerOptions());
+    learner.Train(*ctx->compiled, &ctx->weights);
     return Status::OK();
   }
 };
@@ -282,26 +260,14 @@ class InferStage : public PipelineStage {
   StageId id() const override { return StageId::kInfer; }
 
   Status Run(PipelineContext* ctx) override {
-    HOLO_RETURN_NOT_OK(ctx->EnsureGraph());
-    const HoloCleanConfig& config = ctx->config;
-    const CompiledGraph* compiled = nullptr;
-    if (config.compiled_kernel) {
-      HOLO_RETURN_NOT_OK(ctx->EnsureCompiled());
-      compiled = ctx->compiled.get();
-    }
+    HOLO_RETURN_NOT_OK(ctx->EnsureCompiled());
     if (ctx->graph.dc_factors().empty()) {
-      ctx->marginals = compiled != nullptr
-                           ? ExactIndependentMarginals(*compiled, ctx->weights)
-                           : ExactIndependentMarginals(ctx->graph,
-                                                       ctx->weights);
+      ctx->marginals = ExactIndependentMarginals(*ctx->compiled, ctx->weights);
     } else {
-      GibbsOptions options;
-      options.burn_in = config.gibbs_burn_in;
-      options.samples = config.gibbs_samples;
-      options.seed = config.seed ^ 0x2545F4914F6CDD1DULL;
+      GibbsOptions options = ctx->config.ToGibbsOptions();
       options.pool = ctx->pool;
-      GibbsSampler sampler(&ctx->graph, &ctx->dataset->dirty(), ctx->dcs,
-                           &ctx->weights, options, compiled);
+      GibbsSampler sampler(&ctx->graph, *ctx->compiled, &ctx->dataset->dirty(),
+                           ctx->dcs, &ctx->weights, options);
       ctx->marginals = sampler.Run();
     }
     return Status::OK();

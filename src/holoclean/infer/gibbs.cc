@@ -10,81 +10,43 @@
 
 namespace holoclean {
 
-GibbsSampler::GibbsSampler(const FactorGraph* graph, const Table* table,
+GibbsSampler::GibbsSampler(const FactorGraph* graph,
+                           const CompiledGraph& compiled, const Table* table,
                            const std::vector<DenialConstraint>* dcs,
-                           const WeightStore* weights, GibbsOptions options,
-                           const CompiledGraph* compiled)
+                           const WeightStore* weights, GibbsOptions options)
     : graph_(graph),
-      table_(table),
-      dcs_(dcs),
-      weights_(weights),
-      options_(options),
       compiled_(compiled),
+      dcs_(dcs),
+      options_(options),
       // The fallback evaluator must score ≈ predicates exactly like the
       // precomputed violation tables, so it adopts the compiled graph's
-      // recorded threshold (same 0.8 default on the reference path).
-      evaluator_(table, compiled != nullptr ? compiled->sim_threshold()
-                                            : 0.8) {
+      // recorded threshold.
+      evaluator_(table, compiled.sim_threshold()) {
   assignment_.resize(graph_->num_variables());
   unary_scores_.resize(graph_->num_variables());
-  std::vector<double> dense;
-  if (compiled_ != nullptr) dense = compiled_->GatherWeights(*weights_);
+  std::vector<double> dense = compiled_.GatherWeights(*weights);
   for (size_t v = 0; v < graph_->num_variables(); ++v) {
     const Variable& var = graph_->variable(static_cast<int>(v));
     assignment_[v] = var.init_index >= 0 ? var.init_index : 0;
+    if (var.is_evidence) continue;
     auto& scores = unary_scores_[v];
     scores.resize(var.NumCandidates());
-    // Evidence variables are never resampled, so the compiled kernel skips
-    // their unary scores (a large share of the feature arena on typical
-    // graphs). The reference path keeps the original behavior.
-    if (compiled_ != nullptr && var.is_evidence) continue;
     for (size_t k = 0; k < var.NumCandidates(); ++k) {
-      scores[k] =
-          compiled_ != nullptr
-              ? compiled_->UnaryScore(static_cast<int>(v),
-                                      static_cast<int>(k), dense)
-              : graph_->UnaryScore(static_cast<int>(v), static_cast<int>(k),
-                                   *weights_);
+      scores[k] = compiled_.UnaryScore(static_cast<int>(v),
+                                       static_cast<int>(k), dense);
     }
   }
 }
 
-double GibbsSampler::FactorScore(int var_id, int candidate_index,
-                                 std::vector<CellOverride>* overrides) {
-  const Variable& var = graph_->variable(var_id);
-  double score = 0.0;
-  for (int32_t fid : graph_->FactorsOfVar(var_id)) {
-    const DcFactor& factor =
-        graph_->dc_factors()[static_cast<size_t>(fid)];
-    overrides->clear();
-    for (int32_t other : factor.var_ids) {
-      const Variable& other_var = graph_->variable(other);
-      ValueId value =
-          other == var_id
-              ? var.domain[static_cast<size_t>(candidate_index)]
-              : other_var.domain[static_cast<size_t>(
-                    assignment_[static_cast<size_t>(other)])];
-      overrides->push_back({other_var.cell, value});
-    }
-    const DenialConstraint& dc =
-        (*dcs_)[static_cast<size_t>(factor.dc_index)];
-    if (evaluator_.ViolatesWith(dc, factor.t1, factor.t2, *overrides)) {
-      score -= factor.weight;
-    }
-  }
-  return score;
-}
-
-void GibbsSampler::FactorScoresCompiled(int var_id, size_t num_cand,
-                                        ChainScratch* scratch) {
+void GibbsSampler::FactorScores(int var_id, size_t num_cand,
+                                ChainScratch* scratch) {
   // Accumulates every candidate's factor score into scratch->factor_acc in
   // one pass over the variable's factors. For each tabled factor the
   // lookup index is affine in the candidate (base + k * stride under the
   // row-major table layout), so the per-candidate work is a single byte
-  // load. Contributions accumulate per candidate in factor order — the
-  // exact arithmetic sequence of the reference FactorScore — so the chain
-  // stays bit-identical.
-  const CompiledGraph& c = *compiled_;
+  // load. Contributions accumulate per candidate in factor order, the
+  // arithmetic sequence the reference chain in tests/oracle/ pins.
+  const CompiledGraph& c = compiled_;
   const std::vector<int32_t>& fov = c.fov();
   const std::vector<int32_t>& factor_vars = c.factor_vars();
   auto& acc = scratch->factor_acc;
@@ -113,8 +75,8 @@ void GibbsSampler::FactorScoresCompiled(int var_id, size_t num_cand,
       }
     } else {
       // Fallback: the factor's candidate cross-product was above the table
-      // cap; evaluate it like the reference path (same override order, so
-      // the verdict — and the chain — is bit-identical).
+      // cap, so evaluate the constraint directly (same verdict the table
+      // would hold).
       const Variable& var = graph_->variable(var_id);
       const DenialConstraint& dc =
           (*dcs_)[static_cast<size_t>(c.FactorDcIndex(fid))];
@@ -150,23 +112,11 @@ void GibbsSampler::SampleVariable(int var_id, Rng* rng,
     return;
   }
   auto& scores = scratch->scores;
-  scores.assign(num_cand, 0.0);
-  const auto& unary = unary_scores_[static_cast<size_t>(var_id)];
-  bool has_factors = !graph_->FactorsOfVar(var_id).empty();
-  if (compiled_ != nullptr && has_factors) {
-    FactorScoresCompiled(var_id, num_cand, scratch);
+  scores = unary_scores_[static_cast<size_t>(var_id)];
+  if (!graph_->FactorsOfVar(var_id).empty()) {
+    FactorScores(var_id, num_cand, scratch);
     const auto& acc = scratch->factor_acc;
-    for (size_t k = 0; k < num_cand; ++k) {
-      scores[k] = unary[k] + acc[k];
-    }
-  } else {
-    for (size_t k = 0; k < num_cand; ++k) {
-      scores[k] = unary[k];
-      if (has_factors) {
-        scores[k] += FactorScore(var_id, static_cast<int>(k),
-                                 &scratch->overrides);
-      }
-    }
+    for (size_t k = 0; k < num_cand; ++k) scores[k] += acc[k];
   }
   SoftmaxInPlace(&scores);  // `scores` now holds the probabilities.
   assignment_[static_cast<size_t>(var_id)] =

@@ -37,24 +37,21 @@ struct GibbsOptions {
 /// distribution equals ExactIndependentMarginals and mixes in O(n log n)
 /// sweeps (the guarantee HoloClean's relaxation buys, §5.2).
 ///
-/// With a CompiledGraph the sampler runs its compiled kernel: unary scores
-/// come from the dense weight vector and CSR feature arenas, and factor
-/// scoring is a precomputed violation-table lookup (falling back to the
-/// DcEvaluator only for factors whose candidate cross-product exceeded the
-/// table cap). Sweeps are allocation-free and the sampled chain is
-/// bit-identical to the reference path.
+/// The sampler runs on the compiled kernel: unary scores come from the
+/// dense weight vector and CSR feature arenas, and factor scoring is a
+/// precomputed violation-table lookup, falling back to a DcEvaluator at
+/// the compiled graph's similarity threshold only for factors whose
+/// candidate cross-product exceeded the table cap. Sweeps are
+/// allocation-free. `graph` supplies the variable domains and cells the
+/// fallback evaluates; `compiled` must have been built from it.
 class GibbsSampler {
  public:
-  GibbsSampler(const FactorGraph* graph, const Table* table,
-               const std::vector<DenialConstraint>* dcs,
-               const WeightStore* weights, GibbsOptions options,
-               const CompiledGraph* compiled = nullptr);
+  GibbsSampler(const FactorGraph* graph, const CompiledGraph& compiled,
+               const Table* table, const std::vector<DenialConstraint>* dcs,
+               const WeightStore* weights, GibbsOptions options);
 
   /// Runs burn-in + sampling sweeps, returns estimated marginals.
   Marginals Run();
-
-  /// Current assignment (candidate index per variable) — for tests.
-  const std::vector<int>& assignment() const { return assignment_; }
 
  private:
   /// Per-chain scratch buffers, owned by RunComponent so concurrent
@@ -66,14 +63,11 @@ class GibbsSampler {
     std::vector<CellOverride> overrides;
   };
 
-  double FactorScore(int var_id, int candidate_index,
-                     std::vector<CellOverride>* overrides);
-  /// Compiled kernel: per-candidate factor scores for `var_id` into
-  /// scratch->factor_acc in one pass over its factors (affine
-  /// violation-table indexing; evaluator fallback above the table cap).
-  /// Accumulation order matches FactorScore bit for bit.
-  void FactorScoresCompiled(int var_id, size_t num_cand,
-                            ChainScratch* scratch);
+  /// Per-candidate factor scores for `var_id` into scratch->factor_acc in
+  /// one pass over its factors (affine violation-table indexing; evaluator
+  /// fallback above the table cap), accumulated per candidate in factor
+  /// order.
+  void FactorScores(int var_id, size_t num_cand, ChainScratch* scratch);
   void SampleVariable(int var_id, Rng* rng, ChainScratch* scratch);
   /// Runs the full chain for one connected component of query variables,
   /// accumulating marginal counts (disjoint from other components).
@@ -84,15 +78,13 @@ class GibbsSampler {
   std::vector<std::vector<int32_t>> QueryComponents() const;
 
   const FactorGraph* graph_;
-  const Table* table_;
+  const CompiledGraph& compiled_;
   const std::vector<DenialConstraint>* dcs_;
-  const WeightStore* weights_;
   GibbsOptions options_;
-  /// Compiled kernel, or null for the reference interpreter.
-  const CompiledGraph* compiled_;
   DcEvaluator evaluator_;
   std::vector<int> assignment_;
-  /// Unary scores are assignment-independent; precomputed once.
+  /// Unary scores are assignment-independent; precomputed once for the
+  /// query variables (evidence variables are never resampled).
   std::vector<std::vector<double>> unary_scores_;
 };
 

@@ -27,10 +27,6 @@ std::vector<double> Softmax(const std::vector<double>& scores) {
 SgdLearner::SgdLearner(const FactorGraph* graph, LearnerOptions options)
     : graph_(graph), options_(options) {}
 
-std::vector<double> SgdLearner::Train(WeightStore* weights) const {
-  return TrainOn(graph_->evidence_vars(), weights);
-}
-
 std::vector<double> SgdLearner::TrainOn(
     const std::vector<int32_t>& evidence_vars, WeightStore* weights) const {
   std::vector<int32_t> order(evidence_vars);
@@ -80,8 +76,8 @@ std::vector<double> SgdLearner::Train(const CompiledGraph& compiled,
   if (order.empty()) return epoch_nll;
 
   // Dense working copy of the parameters; written back at the end. Only
-  // weights the reference loop would have Set (coef != 0 at least once)
-  // are scattered, so the sparse store's entry set stays bit-compatible.
+  // weights an update touched (coef != 0 at least once) are scattered, so
+  // the sparse store's entry set matches per-key updates (TrainOn).
   std::vector<double> dense = compiled.GatherWeights(*weights);
   std::vector<uint8_t> touched(dense.size(), 0);
   const std::vector<int32_t>& feat_weight = compiled.feat_weight();

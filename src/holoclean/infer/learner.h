@@ -37,16 +37,13 @@ class SgdLearner {
  public:
   SgdLearner(const FactorGraph* graph, LearnerOptions options);
 
-  /// Trains `weights` in place; returns the average negative log-likelihood
-  /// per epoch (for convergence monitoring/tests).
-  std::vector<double> Train(WeightStore* weights) const;
-
-  /// Compiled-kernel variant: gathers the store into a dense parameter
-  /// vector, runs the same SGD over the compiled CSR feature arenas, and
-  /// scatters the touched weights back. Bit-identical to Train(weights) —
-  /// same shuffles, same arithmetic order, same store entry set — just
-  /// without a hash lookup per feature activation. `compiled` must have
-  /// been built from this learner's graph.
+  /// Trains `weights` in place over every evidence variable on the
+  /// compiled kernel: gathers the store into a dense parameter vector, runs
+  /// SGD over the CSR feature arenas, and scatters back exactly the
+  /// weights an update touched (so the store's entry set is what per-key
+  /// updates would leave). Returns the average negative log-likelihood per
+  /// epoch (for convergence monitoring/tests). `compiled` must have been
+  /// built from this learner's graph.
   std::vector<double> Train(const CompiledGraph& compiled,
                             WeightStore* weights) const;
 
@@ -55,7 +52,7 @@ class SgdLearner {
   /// reinitialization), same per-example update as Train. The streaming
   /// tier uses this to fold a freshly appended batch's evidence into
   /// already-learned weights without revisiting the full evidence set.
-  /// Runs the reference-graph path — append deltas are small, so the
+  /// Scores on the FactorGraph — append deltas are small, so the
   /// per-activation hash lookup doesn't matter.
   std::vector<double> TrainOn(const std::vector<int32_t>& evidence_vars,
                               WeightStore* weights) const;

@@ -17,28 +17,6 @@ double Marginals::MapProb(int var_id) const {
   return *std::max_element(p.begin(), p.end());
 }
 
-Marginals ExactIndependentMarginals(const FactorGraph& graph,
-                                    const WeightStore& weights) {
-  Marginals out(graph.num_variables());
-  std::vector<double> scores;
-  for (size_t v = 0; v < graph.num_variables(); ++v) {
-    const Variable& var = graph.variable(static_cast<int>(v));
-    auto& probs = out.probs()[v];
-    if (var.is_evidence) {
-      probs.assign(var.NumCandidates(), 0.0);
-      probs[static_cast<size_t>(var.init_index)] = 1.0;
-      continue;
-    }
-    scores.assign(var.NumCandidates(), 0.0);
-    for (size_t k = 0; k < var.NumCandidates(); ++k) {
-      scores[k] =
-          graph.UnaryScore(static_cast<int>(v), static_cast<int>(k), weights);
-    }
-    probs = Softmax(scores);
-  }
-  return out;
-}
-
 Marginals ExactIndependentMarginals(const CompiledGraph& compiled,
                                     const WeightStore& weights) {
   std::vector<double> dense = compiled.GatherWeights(weights);

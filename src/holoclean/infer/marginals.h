@@ -4,7 +4,6 @@
 #include <vector>
 
 #include "holoclean/model/compiled_graph.h"
-#include "holoclean/model/factor_graph.h"
 
 namespace holoclean {
 
@@ -32,13 +31,9 @@ class Marginals {
 
 /// Closed-form marginals for the relaxed model (paper §5.2): with no DC
 /// factors the variables are independent, so each query variable's marginal
-/// is the softmax of its unary scores. Evidence variables are point masses.
-Marginals ExactIndependentMarginals(const FactorGraph& graph,
-                                    const WeightStore& weights);
-
-/// Compiled-kernel variant: scores candidates through the dense weight
-/// vector and CSR feature arenas. Bit-identical marginals, no hash lookup
-/// per activation, no per-variable allocation.
+/// is the softmax of its unary scores, computed through the compiled dense
+/// weight vector and CSR feature arenas. Evidence variables are point
+/// masses.
 Marginals ExactIndependentMarginals(const CompiledGraph& compiled,
                                     const WeightStore& weights);
 

@@ -179,12 +179,13 @@ uint64_t ConfigFingerprint(const HoloCleanConfig& c) {
   // reminder to update the fingerprint and bump kSnapshotFormatVersion if
   // the default changed behavior. (x86-64/AArch64 SysV layout.)
   //
-  // compiled_kernel, dc_table_cap, and columnar are deliberately NOT mixed
-  // in: the compiled kernel and the columnar scan paths are bit-identical
-  // to their reference paths (enforced by the differential tests), so
-  // snapshots interchange freely across those knobs — including
-  // pre-existing snapshots written before the knobs existed.
-  static_assert(sizeof(HoloCleanConfig) == 184,
+  // columnar and num_threads are deliberately NOT mixed in: the columnar
+  // scan paths are bit-identical to the row reference paths and results
+  // are thread-count invariant (enforced by the differential tests), so
+  // snapshots interchange freely across them. The value is unchanged from
+  // builds that also carried the two retired kernel knobs, which were
+  // never mixed in either, so their snapshots restore.
+  static_assert(sizeof(HoloCleanConfig) == 168,
                 "HoloCleanConfig changed: update ConfigFingerprint");
   uint64_t h = HashBytes("holoclean-config-v1");
   auto mix_u = [&h](uint64_t v) { h = HashCombine(h, v); };

@@ -261,7 +261,11 @@ Status ApplyConfigOverrides(const JsonValue& overrides,
     } else if (key == "gibbs_samples") {
       HOLO_RETURN_NOT_OK(integer(&config->gibbs_samples));
     } else if (key == "compiled_kernel") {
-      HOLO_RETURN_NOT_OK(boolean(&config->compiled_kernel));
+      // Deprecated no-op: the compiled kernel is the only learn/infer
+      // runtime. Protocol 2 is stable, so the key is still accepted (and
+      // still type-checked) rather than rejected as unknown.
+      bool ignored = false;
+      HOLO_RETURN_NOT_OK(boolean(&ignored));
     } else if (key == "columnar") {
       HOLO_RETURN_NOT_OK(boolean(&config->columnar));
     } else if (key == "seed") {

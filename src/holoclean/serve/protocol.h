@@ -112,7 +112,9 @@ struct Request {
 
 /// Applies the request's config overrides onto `config`. Unknown keys are
 /// an error (a misspelled knob silently ignored would be a debugging
-/// trap); unmentioned knobs keep their current values.
+/// trap); unmentioned knobs keep their current values. A retired knob
+/// that protocol 2 documented is still accepted, type-checked, and
+/// ignored.
 Status ApplyConfigOverrides(const JsonValue& overrides,
                             HoloCleanConfig* config);
 

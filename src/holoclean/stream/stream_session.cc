@@ -7,7 +7,6 @@
 #include "holoclean/model/compiled_graph.h"
 #include "holoclean/model/domain_pruning.h"
 #include "holoclean/model/grounding.h"
-#include "holoclean/model/weight_initializer.h"
 #include "holoclean/util/failpoint.h"
 #include "holoclean/util/timer.h"
 
@@ -293,15 +292,7 @@ Status StreamSession::WarmAppend(size_t old_rows, StreamBatchStats* batch) {
   // Warm-start weights: keys the batch introduced (new values, new
   // sources) get their prior seed; every existing weight keeps its
   // learned value.
-  WeightInitInput winput;
-  winput.table = &dirty;
-  winput.attrs = &ctx.attrs;
-  winput.dcs = ctx.dcs;
-  winput.num_dicts = ctx.dicts == nullptr ? 0 : ctx.dicts->size();
-  winput.source_attr =
-      ctx.dataset->has_source_attr() ? ctx.dataset->source_attr() : -1;
-  WeightInitializer initializer(config.ToWeightInitOptions());
-  WeightStore seeded = initializer.Initialize(winput);
+  WeightStore seeded = ctx.InitialWeights();
   for (const auto& entry : seeded.raw()) {
     if (ctx.weights.raw().count(entry.first) == 0) {
       ctx.weights.Set(entry.first, entry.second);
@@ -319,13 +310,9 @@ Status StreamSession::WarmAppend(size_t old_rows, StreamBatchStats* batch) {
       }
     }
     if (!new_evidence_vars.empty()) {
-      LearnerOptions lopt;
+      LearnerOptions lopt = config.ToLearnerOptions();
       lopt.epochs = options_.warm_epochs;
-      lopt.learning_rate = config.learning_rate;
-      lopt.lr_decay = config.lr_decay;
-      lopt.l2 = config.l2;
-      lopt.seed = config.seed ^ 0x5851F42D4C957F2DULL ^
-                  (stats_.batches + 1);
+      lopt.seed ^= stats_.batches + 1;
       SgdLearner learner(&ctx.graph, lopt);
       learner.TrainOn(new_evidence_vars, &ctx.weights);
     }

@@ -4,6 +4,8 @@
 #include <cctype>
 #include <charconv>
 #include <cmath>
+#include <cstdio>
+#include <type_traits>
 
 namespace holoclean {
 
@@ -70,6 +72,52 @@ double ParseDoubleOr(std::string_view s, double fallback) {
   if (ec != std::errc() || ptr != end || !std::isfinite(value)) return fallback;
   return value;
 }
+
+namespace {
+
+template <typename T>
+std::string FormatBound(T value) {
+  if constexpr (std::is_floating_point_v<T>) {
+    char buf[32];
+    std::snprintf(buf, sizeof(buf), "%g", static_cast<double>(value));
+    return buf;
+  } else {
+    return std::to_string(value);
+  }
+}
+
+}  // namespace
+
+template <typename T>
+Result<T> ParseNumber(std::string_view what, std::string_view s, T min,
+                      T max) {
+  T value{};
+  const char* end = s.data() + s.size();
+  auto [ptr, ec] = std::from_chars(s.data(), end, value);
+  // The negated comparison also rejects NaN.
+  if (ec != std::errc() || ptr != end || !(value >= min && value <= max)) {
+    return Status::InvalidArgument(std::string(what) + ": \"" +
+                                   std::string(s) + "\" is not a number in [" +
+                                   FormatBound(min) + ", " + FormatBound(max) +
+                                   "]");
+  }
+  return value;
+}
+
+template Result<int> ParseNumber(std::string_view, std::string_view, int,
+                                 int);
+template Result<long> ParseNumber(std::string_view, std::string_view, long,
+                                  long);
+template Result<long long> ParseNumber(std::string_view, std::string_view,
+                                       long long, long long);
+template Result<unsigned long> ParseNumber(std::string_view, std::string_view,
+                                           unsigned long, unsigned long);
+template Result<unsigned long long> ParseNumber(std::string_view,
+                                                std::string_view,
+                                                unsigned long long,
+                                                unsigned long long);
+template Result<double> ParseNumber(std::string_view, std::string_view,
+                                    double, double);
 
 size_t EditDistance(std::string_view a, std::string_view b) {
   if (a.size() > b.size()) std::swap(a, b);

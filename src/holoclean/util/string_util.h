@@ -2,9 +2,12 @@
 #define HOLOCLEAN_UTIL_STRING_UTIL_H_
 
 #include <cstddef>
+#include <limits>
 #include <string>
 #include <string_view>
 #include <vector>
+
+#include "holoclean/util/status.h"
 
 namespace holoclean {
 
@@ -25,6 +28,17 @@ bool IsNumeric(std::string_view s);
 
 /// Parses `s` as double; returns `fallback` when not numeric.
 double ParseDoubleOr(std::string_view s, double fallback);
+
+/// Checked parse of an untrusted number, e.g. a command-line flag value:
+/// all of `s` must be one T in [min, max] — no surrounding whitespace, no
+/// trailing characters, no sign on unsigned types, no overflow, no NaN or
+/// infinity. Otherwise returns InvalidArgument naming `what` and the
+/// accepted range. Instantiated for int, long, long long, unsigned long,
+/// unsigned long long and double.
+template <typename T>
+Result<T> ParseNumber(std::string_view what, std::string_view s,
+                      T min = std::numeric_limits<T>::lowest(),
+                      T max = std::numeric_limits<T>::max());
 
 /// Levenshtein edit distance between `a` and `b`.
 size_t EditDistance(std::string_view a, std::string_view b);

@@ -1,8 +1,9 @@
 // Differential tests for the compiled inference kernel: CompiledGraph
 // scores, learned weights, marginals, and sampled repairs must be
-// bit-identical to the reference FactorGraph path — including across the
+// bit-identical to the reference interpreter in tests/oracle/ run on the
+// same graph from the same initial weights — including across the
 // violation-table fallback boundary and for any thread count — and
-// snapshots written under either kernel must be byte-identical.
+// snapshots of either run's artifacts must be byte-identical.
 
 #include <gtest/gtest.h>
 
@@ -23,6 +24,7 @@
 #include "holoclean/model/compiled_graph.h"
 #include "holoclean/util/rng.h"
 
+#include "oracle/reference.h"
 #include "session_helpers.h"
 
 namespace holoclean {
@@ -126,6 +128,28 @@ TEST(CompiledGraph, UnaryScoresBitIdenticalOnRandomGraphs) {
   }
 }
 
+void ExpectStoresBitIdentical(const WeightStore& a, const WeightStore& b) {
+  // Entry for entry: same keys present (the lazy create-on-touch
+  // semantics), same exact values.
+  ASSERT_EQ(a.raw().size(), b.raw().size());
+  for (const auto& [key, value] : a.raw()) {
+    auto it = b.raw().find(key);
+    ASSERT_NE(it, b.raw().end()) << "missing key " << key;
+    EXPECT_EQ(value, it->second) << "key " << key;
+  }
+}
+
+void ExpectMarginalsBitIdentical(const Marginals& a, const Marginals& b) {
+  ASSERT_EQ(a.probs().size(), b.probs().size());
+  for (size_t v = 0; v < a.probs().size(); ++v) {
+    ASSERT_EQ(a.probs()[v].size(), b.probs()[v].size()) << "var " << v;
+    for (size_t k = 0; k < a.probs()[v].size(); ++k) {
+      EXPECT_EQ(a.probs()[v][k], b.probs()[v][k])
+          << "var " << v << " candidate " << k;
+    }
+  }
+}
+
 TEST(CompiledGraph, LearnedWeightsAndNllBitIdentical) {
   for (uint64_t seed = 11; seed <= 13; ++seed) {
     FactorGraph graph = RandomUnaryGraph(seed, 60);
@@ -140,21 +164,20 @@ TEST(CompiledGraph, LearnedWeightsAndNllBitIdentical) {
 
     WeightStore ref = RandomWeights(seed ^ 0x1234ULL, graph);
     WeightStore comp = ref;  // Same starting parameters.
-    std::vector<double> ref_nll = learner.Train(&ref);
+    WeightStore on_graph = ref;
+    std::vector<double> ref_nll = oracle::Train(graph, options, &ref);
     std::vector<double> comp_nll = learner.Train(compiled, &comp);
+    // The warm-start path over the full evidence set is the same SGD.
+    std::vector<double> on_nll =
+        learner.TrainOn(graph.evidence_vars(), &on_graph);
 
     ASSERT_EQ(ref_nll.size(), comp_nll.size());
     for (size_t e = 0; e < ref_nll.size(); ++e) {
       EXPECT_EQ(ref_nll[e], comp_nll[e]) << "epoch " << e;
     }
-    // The stores match entry for entry — same keys present (the lazy
-    // create-on-touch semantics), same exact values.
-    ASSERT_EQ(ref.raw().size(), comp.raw().size());
-    for (const auto& [key, value] : ref.raw()) {
-      auto it = comp.raw().find(key);
-      ASSERT_NE(it, comp.raw().end()) << "missing key " << key;
-      EXPECT_EQ(value, it->second) << "key " << key;
-    }
+    EXPECT_EQ(ref_nll, on_nll);
+    ExpectStoresBitIdentical(ref, comp);
+    ExpectStoresBitIdentical(ref, on_graph);
   }
 }
 
@@ -177,10 +200,9 @@ TEST(CompiledGraph, UntouchedWeightsStayAbsentFromTheStore) {
   std::vector<DenialConstraint> dcs;
   CompiledGraph compiled = CompiledGraph::Build(graph, table, dcs);
 
-  SgdLearner learner(&graph, LearnerOptions{});
   WeightStore ref, comp;
-  learner.Train(&ref);
-  learner.Train(compiled, &comp);
+  oracle::Train(graph, LearnerOptions{}, &ref);
+  SgdLearner(&graph, LearnerOptions{}).Train(compiled, &comp);
   EXPECT_EQ(ref.raw().count(77), 0u);
   EXPECT_EQ(comp.raw().count(77), 0u);
   EXPECT_EQ(ref.raw().size(), comp.raw().size());
@@ -193,16 +215,8 @@ TEST(CompiledGraph, ExactMarginalsBitIdentical) {
   std::vector<DenialConstraint> dcs;
   CompiledGraph compiled = CompiledGraph::Build(graph, table, dcs);
 
-  Marginals ref = ExactIndependentMarginals(graph, weights);
-  Marginals comp = ExactIndependentMarginals(compiled, weights);
-  ASSERT_EQ(ref.probs().size(), comp.probs().size());
-  for (size_t v = 0; v < ref.probs().size(); ++v) {
-    ASSERT_EQ(ref.probs()[v].size(), comp.probs()[v].size());
-    for (size_t k = 0; k < ref.probs()[v].size(); ++k) {
-      EXPECT_EQ(ref.probs()[v][k], comp.probs()[v][k])
-          << "var " << v << " candidate " << k;
-    }
-  }
+  ExpectMarginalsBitIdentical(oracle::ExactIndependentMarginals(graph, weights),
+                              ExactIndependentMarginals(compiled, weights));
 }
 
 // ---------- End-to-end with DC factors ----------
@@ -240,11 +254,8 @@ struct RunInstance {
   Report report;
 };
 
-HoloCleanConfig KernelConfig(bool compiled_kernel, size_t dc_table_cap,
-                             size_t num_threads) {
+HoloCleanConfig ThreadConfig(size_t num_threads) {
   HoloCleanConfig c = FactorConfig();
-  c.compiled_kernel = compiled_kernel;
-  c.dc_table_cap = dc_table_cap;
   c.num_threads = num_threads;
   return c;
 }
@@ -265,44 +276,116 @@ void ExpectReportsBitIdentical(const Report& a, const Report& b) {
   }
 }
 
+/// Replays the learn and infer stages of a finished run on the reference
+/// interpreter — same graph, same initial weights, same seeds — checks the
+/// run's weights, per-epoch NLL and marginals against it bit for bit, then
+/// installs the reference artifacts and re-runs repair extraction on them.
+/// Returns that reference report; the session is left holding the
+/// reference artifacts with every stage valid.
+Report ReplayOnOracle(Session* session) {
+  PipelineContext& ctx = session->context();
+  std::vector<double> ref_nll;
+  WeightStore ref_weights = oracle::Learn(ctx, &ref_nll);
+  Marginals ref_marginals = oracle::Infer(ctx, ref_weights);
+  ExpectStoresBitIdentical(ref_weights, ctx.weights);
+  ExpectMarginalsBitIdentical(ref_marginals, ctx.marginals);
+  // The kernel's per-epoch NLL on the same graph and starting weights.
+  WeightStore comp_weights = ctx.InitialWeights();
+  std::vector<double> comp_nll =
+      SgdLearner(&ctx.graph, ctx.config.ToLearnerOptions())
+          .Train(*ctx.compiled, &comp_weights);
+  EXPECT_EQ(ref_nll, comp_nll);
+
+  ctx.weights = std::move(ref_weights);
+  ctx.marginals = std::move(ref_marginals);
+  session->Invalidate(StageId::kRepair);
+  auto report = session->Run();
+  EXPECT_TRUE(report.ok()) << report.status();
+  return report.ok() ? report.value() : Report{};
+}
+
 TEST(CompiledKernel, GibbsRepairsBitIdenticalToReference) {
-  RunInstance ref(KernelConfig(/*compiled=*/false, 4096, /*threads=*/1));
-  RunInstance comp(KernelConfig(/*compiled=*/true, 4096, /*threads=*/1));
-  EXPECT_FALSE(ref.report.repairs.empty());
-  ExpectReportsBitIdentical(ref.report, comp.report);
+  RunInstance comp(ThreadConfig(/*threads=*/1));
+  ASSERT_TRUE(comp.session.has_value());
+  EXPECT_FALSE(comp.report.repairs.empty());
+  ExpectReportsBitIdentical(ReplayOnOracle(&*comp.session), comp.report);
 }
 
 TEST(CompiledKernel, BitIdenticalForAnyThreadCount) {
-  RunInstance ref(KernelConfig(/*compiled=*/false, 4096, /*threads=*/1));
-  RunInstance comp_pool(KernelConfig(/*compiled=*/true, 4096, /*threads=*/0));
-  ExpectReportsBitIdentical(ref.report, comp_pool.report);
+  RunInstance comp_pool(ThreadConfig(/*threads=*/0));
+  ASSERT_TRUE(comp_pool.session.has_value());
+  ExpectReportsBitIdentical(ReplayOnOracle(&*comp_pool.session),
+                            comp_pool.report);
 }
 
 TEST(CompiledKernel, FallbackBoundaryBitIdentical) {
-  RunInstance ref(KernelConfig(/*compiled=*/false, 4096, 1));
+  // Samples the same learned model through compiled graphs built at three
+  // violation-table caps; every chain must match the reference chain.
+  RunInstance run(ThreadConfig(1));
+  ASSERT_TRUE(run.session.has_value());
+  const PipelineContext& ctx = run.session->context();
+  Marginals ref = oracle::Infer(ctx, ctx.weights);
+  ExpectMarginalsBitIdentical(ref, ctx.marginals);
+
+  auto sample_with_cap = [&](size_t cap) {
+    CompiledGraphOptions copts;
+    copts.violation_table_cap = cap;
+    copts.sim_threshold = ctx.config.sim_threshold;
+    CompiledGraph compiled = CompiledGraph::Build(
+        ctx.graph, ctx.dataset->dirty(), *ctx.dcs, copts);
+    GibbsSampler sampler(&ctx.graph, compiled, &ctx.dataset->dirty(),
+                         ctx.dcs, &ctx.weights, ctx.config.ToGibbsOptions());
+    ExpectMarginalsBitIdentical(ref, sampler.Run());
+    return compiled.stats();
+  };
 
   // Cap 0: every factor falls back to the evaluator path.
-  RunInstance all_fallback(KernelConfig(/*compiled=*/true, 0, 1));
-  ExpectReportsBitIdentical(ref.report, all_fallback.report);
-  const auto& fb = all_fallback.session->context().compiled;
-  ASSERT_NE(fb, nullptr);
-  EXPECT_EQ(fb->stats().num_tabled_factors, 0u);
-  EXPECT_GT(fb->stats().num_fallback_factors, 0u);
+  CompiledGraph::Stats all_fallback = sample_with_cap(0);
+  EXPECT_EQ(all_fallback.num_tabled_factors, 0u);
+  EXPECT_GT(all_fallback.num_fallback_factors, 0u);
 
   // A small cap right at the boundary: some factors tabled, some fall
   // back — both paths must agree inside one sampler run.
-  RunInstance mixed(KernelConfig(/*compiled=*/true, 16, 1));
-  ExpectReportsBitIdentical(ref.report, mixed.report);
-  const auto& mx = mixed.session->context().compiled;
-  ASSERT_NE(mx, nullptr);
-  EXPECT_GT(mx->stats().num_tabled_factors, 0u);
+  CompiledGraph::Stats mixed = sample_with_cap(16);
+  EXPECT_GT(mixed.num_tabled_factors, 0u);
 
   // Default cap.
-  RunInstance tabled(KernelConfig(/*compiled=*/true, 4096, 1));
-  ExpectReportsBitIdentical(ref.report, tabled.report);
-  const auto& tb = tabled.session->context().compiled;
-  ASSERT_NE(tb, nullptr);
-  EXPECT_GT(tb->stats().table_entries, 0u);
+  CompiledGraph::Stats tabled = sample_with_cap(4096);
+  EXPECT_GT(tabled.table_entries, 0u);
+}
+
+TEST(CompiledKernel, ViolationTablesFollowTheConfiguredSimThreshold) {
+  // Two-tuple SIM constraint: within a state, similar names must share a
+  // city. "Alice" vs "Alicia" is 0.67 similar, so the pairs violate at a
+  // 0.6 threshold but not at the 0.8 default — the compiled graph must
+  // score them at the configured threshold, the one detection and
+  // grounding used.
+  Table dirty(Schema({"Name", "City", "State"}),
+              std::make_shared<Dictionary>());
+  for (int i = 0; i < 3; ++i) dirty.AppendRow({"Alice", "Boston", "MA"});
+  for (int i = 0; i < 2; ++i) dirty.AppendRow({"Alicia", "Denver", "MA"});
+  for (int i = 0; i < 3; ++i) dirty.AppendRow({"Bob", "Austin", "TX"});
+  Dataset dataset(std::move(dirty));
+  auto dcs = ParseDenialConstraints(
+      "t1&t2&EQ(t1.State,t2.State)&SIM(t1.Name,t2.Name)&"
+      "IQ(t1.City,t2.City)",
+      dataset.dirty().schema());
+  ASSERT_TRUE(dcs.ok()) << dcs.status();
+
+  HoloCleanConfig config;
+  config.dc_mode = DcMode::kFactors;
+  config.sim_threshold = 0.6;
+  config.tau = 0.1;
+  config.num_threads = 1;
+  auto opened = test_helpers::OpenSessionOver(config, &dataset, dcs.value());
+  ASSERT_TRUE(opened.ok()) << opened.status();
+  Session session = std::move(opened).value();
+  auto run = session.Run();
+  ASSERT_TRUE(run.ok()) << run.status();
+  ASSERT_FALSE(session.context().graph.dc_factors().empty());
+  ASSERT_NE(session.context().compiled, nullptr);
+  EXPECT_EQ(session.context().compiled->sim_threshold(), 0.6);
+  ExpectReportsBitIdentical(ReplayOnOracle(&session), run.value());
 }
 
 TEST(CompiledKernel, ViolationTablesMatchEvaluatorExhaustively) {
@@ -384,9 +467,10 @@ struct SnapshotPaths {
   std::string comp_path;
 };
 
-/// Full runs under either kernel serialize to byte-identical snapshots:
-/// the dense↔sparse weight conversion must not perturb the persisted
-/// sparse view in any format version.
+/// A run's snapshot is byte-identical to the snapshot of the same session
+/// holding the reference interpreter's artifacts: the dense↔sparse weight
+/// conversion must not perturb the persisted sparse view in any format
+/// version.
 void CheckSnapshotBytesIdentical(uint32_t format_version, SectionCodec codec) {
   SnapshotPaths paths;
   HospitalOptions options;
@@ -396,45 +480,37 @@ void CheckSnapshotBytesIdentical(uint32_t format_version, SectionCodec codec) {
   save.format_version = format_version;
   save.codec = codec;
 
-  GeneratedData ref_data = MakeHospital(options);
-  HoloCleanConfig ref_config;
-  ref_config.dc_mode = DcMode::kBoth;
-  ref_config.partitioning = true;
-  ref_config.gibbs_burn_in = 2;
-  ref_config.gibbs_samples = 6;
-  ref_config.epochs = 3;
-  ref_config.compiled_kernel = false;
-  auto ref_session = OpenStandaloneSession(CleaningInputs::Borrowed(&ref_data.dataset, &ref_data.dcs), {ref_config});
-  ASSERT_TRUE(ref_session.ok());
-  ASSERT_TRUE(ref_session.value().Run().ok());
-  ASSERT_TRUE(ref_session.value().Save(paths.ref_path, save).ok());
-
-  GeneratedData comp_data = MakeHospital(options);
-  HoloCleanConfig comp_config = ref_config;
-  comp_config.compiled_kernel = true;
-  auto comp_session = OpenStandaloneSession(CleaningInputs::Borrowed(&comp_data.dataset, &comp_data.dcs), {comp_config});
-  ASSERT_TRUE(comp_session.ok());
-  ASSERT_TRUE(comp_session.value().Run().ok());
-  ASSERT_TRUE(comp_session.value().Save(paths.comp_path, save).ok());
+  GeneratedData data = MakeHospital(options);
+  HoloCleanConfig config;
+  config.dc_mode = DcMode::kBoth;
+  config.partitioning = true;
+  config.gibbs_burn_in = 2;
+  config.gibbs_samples = 6;
+  config.epochs = 3;
+  auto session = OpenStandaloneSession(
+      CleaningInputs::Borrowed(&data.dataset, &data.dcs), {config});
+  ASSERT_TRUE(session.ok());
+  ASSERT_TRUE(session.value().Run().ok());
+  ASSERT_TRUE(session.value().Save(paths.comp_path, save).ok());
+  Report ref_report = ReplayOnOracle(&session.value());
+  ASSERT_TRUE(session.value().Save(paths.ref_path, save).ok());
 
   std::string ref_bytes = ReadFileBytes(paths.ref_path);
   std::string comp_bytes = ReadFileBytes(paths.comp_path);
   ASSERT_FALSE(ref_bytes.empty());
   EXPECT_EQ(ref_bytes, comp_bytes);
 
-  // Cross-restore: a snapshot written under the reference kernel restores
-  // into a compiled-kernel session (the kernel knobs are excluded from the
-  // config fingerprint) and re-runs from infer bit-identically.
+  // Cross-restore: the snapshot of the reference artifacts restores into
+  // a fresh session and re-runs from infer on the kernel bit-identically.
   GeneratedData fresh = MakeHospital(options);
-  auto restored = test_helpers::RestoreSessionOver(comp_config, paths.ref_path,
-                                                 &fresh.dataset, fresh.dcs);
+  auto restored = test_helpers::RestoreSessionOver(config, paths.ref_path,
+                                                   &fresh.dataset, fresh.dcs);
   ASSERT_TRUE(restored.ok()) << restored.status();
   Session resumed = std::move(restored).value();
   resumed.Invalidate(StageId::kInfer);
   auto resumed_report = resumed.Run();
   ASSERT_TRUE(resumed_report.ok());
-  ExpectReportsBitIdentical(ref_session.value().report(),
-                            resumed_report.value());
+  ExpectReportsBitIdentical(ref_report, resumed_report.value());
 }
 
 TEST(CompiledKernel, SnapshotV2PackedBytesIdenticalAcrossKernels) {

@@ -84,6 +84,10 @@ struct GeneratorCase {
   size_t dcs;
 };
 
+// Without a printer gtest dumps the struct's raw bytes, which include the
+// string's heap address, so the discovered CTest names changed every build.
+void PrintTo(const GeneratorCase& c, std::ostream* os) { *os << c.name; }
+
 class GeneratorTest : public ::testing::TestWithParam<GeneratorCase> {
  protected:
   static GeneratedData Make(const std::string& name, uint64_t seed) {

@@ -5,10 +5,20 @@
 #include "holoclean/infer/gibbs.h"
 #include "holoclean/infer/learner.h"
 #include "holoclean/infer/marginals.h"
+#include "holoclean/model/compiled_graph.h"
 #include "holoclean/model/feature_registry.h"
 
 namespace holoclean {
 namespace {
+
+// Every test below runs the production compiled kernel; the reference
+// interpreter it is pinned against lives in tests/oracle/.
+
+/// Compiles a graph without DC factors (no table or constraints needed).
+CompiledGraph Compile(const FactorGraph& graph) {
+  static const Table kEmpty(Schema({"A"}), std::make_shared<Dictionary>());
+  return CompiledGraph::Build(graph, kEmpty, {});
+}
 
 // ---------- Softmax ----------
 
@@ -85,15 +95,16 @@ TEST(SgdLearner, LearnsSeparableWeights) {
   WeightStore weights;
   LearnerOptions options;
   options.epochs = 30;
+  CompiledGraph compiled = Compile(graph);
   SgdLearner learner(&graph, options);
-  auto nll = learner.Train(&weights);
+  auto nll = learner.Train(compiled, &weights);
   ASSERT_EQ(nll.size(), 30u);
   // NLL decreases and w(f1) > w(f2).
   EXPECT_LT(nll.back(), nll.front());
   EXPECT_GT(weights.Get(1), weights.Get(2));
 
   // The query variable now prefers candidate 0.
-  Marginals marginals = ExactIndependentMarginals(graph, weights);
+  Marginals marginals = ExactIndependentMarginals(compiled, weights);
   int query = graph.query_vars()[0];
   EXPECT_EQ(marginals.MapIndex(query), 0);
   EXPECT_GT(marginals.MapProb(query), 0.5);
@@ -104,7 +115,7 @@ TEST(SgdLearner, NoEvidenceNoCrash) {
   graph.AddVariable(MakeVar({0, 0}, false, 0, {{{1, 1.0f}}, {{2, 1.0f}}}));
   WeightStore weights;
   SgdLearner learner(&graph, LearnerOptions());
-  EXPECT_TRUE(learner.Train(&weights).empty());
+  EXPECT_TRUE(learner.Train(Compile(graph), &weights).empty());
 }
 
 TEST(SgdLearner, L2ShrinksWeights) {
@@ -121,8 +132,9 @@ TEST(SgdLearner, L2ShrinksWeights) {
   weak.l2 = 0.0;
   WeightStore w_strong;
   WeightStore w_weak;
-  SgdLearner(&graph, strong).Train(&w_strong);
-  SgdLearner(&graph, weak).Train(&w_weak);
+  CompiledGraph compiled = Compile(graph);
+  SgdLearner(&graph, strong).Train(compiled, &w_strong);
+  SgdLearner(&graph, weak).Train(compiled, &w_weak);
   EXPECT_LT(std::abs(w_strong.Get(1)), std::abs(w_weak.Get(1)));
 }
 
@@ -130,7 +142,7 @@ TEST(ExactMarginals, EvidenceIsPointMass) {
   FactorGraph graph;
   graph.AddVariable(MakeVar({0, 0}, true, 1, {{{1, 1.0f}}, {{2, 1.0f}}}));
   WeightStore weights;
-  Marginals m = ExactIndependentMarginals(graph, weights);
+  Marginals m = ExactIndependentMarginals(Compile(graph), weights);
   EXPECT_DOUBLE_EQ(m.Of(0)[0], 0.0);
   EXPECT_DOUBLE_EQ(m.Of(0)[1], 1.0);
   EXPECT_EQ(m.MapIndex(0), 1);
@@ -144,7 +156,7 @@ TEST(ExactMarginals, MatchesSoftmaxOfScores) {
   WeightStore weights;
   weights.Set(1, 1.0);
   weights.Set(2, 0.25);
-  Marginals m = ExactIndependentMarginals(graph, weights);
+  Marginals m = ExactIndependentMarginals(Compile(graph), weights);
   auto expected = Softmax({1.5, 0.25});
   EXPECT_NEAR(m.Of(0)[0], expected[0], 1e-12);
   EXPECT_NEAR(m.Of(0)[1], expected[1], 1e-12);
@@ -167,9 +179,10 @@ TEST(Gibbs, MatchesExactMarginalsWithoutFactors) {
   GibbsOptions options;
   options.burn_in = 50;
   options.samples = 4000;
-  GibbsSampler sampler(&graph, &table, &dcs, &weights, options);
+  CompiledGraph compiled = CompiledGraph::Build(graph, table, dcs);
+  GibbsSampler sampler(&graph, compiled, &table, &dcs, &weights, options);
   Marginals gibbs = sampler.Run();
-  Marginals exact = ExactIndependentMarginals(graph, weights);
+  Marginals exact = ExactIndependentMarginals(compiled, weights);
   EXPECT_NEAR(gibbs.Of(0)[0], exact.Of(0)[0], 0.03);
 }
 
@@ -214,7 +227,8 @@ TEST(Gibbs, MatchesBruteForceWithFactor) {
   options.burn_in = 200;
   options.samples = 30000;
   options.seed = 9;
-  GibbsSampler sampler(&graph, &table, &dcs, &weights, options);
+  CompiledGraph compiled = CompiledGraph::Build(graph, table, dcs);
+  GibbsSampler sampler(&graph, compiled, &table, &dcs, &weights, options);
   Marginals gibbs = sampler.Run();
 
   // Brute force: states (i, j) with energy -w when i != j.
@@ -240,8 +254,9 @@ TEST(Gibbs, DeterministicForSeed) {
   WeightStore weights;
   GibbsOptions options;
   options.samples = 100;
-  GibbsSampler s1(&graph, &table, &dcs, &weights, options);
-  GibbsSampler s2(&graph, &table, &dcs, &weights, options);
+  CompiledGraph compiled = CompiledGraph::Build(graph, table, dcs);
+  GibbsSampler s1(&graph, compiled, &table, &dcs, &weights, options);
+  GibbsSampler s2(&graph, compiled, &table, &dcs, &weights, options);
   EXPECT_EQ(s1.Run().Of(0), s2.Run().Of(0));
 }
 
@@ -255,7 +270,8 @@ TEST(Gibbs, MarginalsSumToOne) {
   std::vector<DenialConstraint> dcs;
   WeightStore weights;
   GibbsOptions options;
-  GibbsSampler sampler(&graph, &table, &dcs, &weights, options);
+  CompiledGraph compiled = CompiledGraph::Build(graph, table, dcs);
+  GibbsSampler sampler(&graph, compiled, &table, &dcs, &weights, options);
   Marginals m = sampler.Run();
   double sum = 0.0;
   for (double p : m.Of(0)) sum += p;

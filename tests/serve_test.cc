@@ -15,13 +15,16 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
+#include <fstream>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <utility>
 #include <vector>
 
 #include "holoclean/data/food.h"
+#include "holoclean/io/session_snapshot.h"
 #include "holoclean/serve/admission.h"
 #include "holoclean/serve/client.h"
 #include "holoclean/serve/protocol.h"
@@ -211,15 +214,34 @@ TEST(ServeProtocol, ConfigOverridesApplyAndRejectUnknownKeys) {
   JsonValue overrides = JsonValue::Object();
   overrides.Set("tau", JsonValue::Number(0.7));
   overrides.Set("epochs", JsonValue::Number(3));
-  overrides.Set("compiled_kernel", JsonValue::Bool(false));
   overrides.Set("seed", JsonValue::Number(99));
   ASSERT_TRUE(serve::ApplyConfigOverrides(overrides, &config).ok());
   EXPECT_DOUBLE_EQ(config.tau, 0.7);
   EXPECT_EQ(config.epochs, 3);
-  EXPECT_FALSE(config.compiled_kernel);
   EXPECT_EQ(config.seed, 99u);
   // Untouched knobs keep their defaults.
   EXPECT_EQ(config.gibbs_samples, HoloCleanConfig().gibbs_samples);
+
+  // The retired compiled_kernel knob is a type-checked no-op on the
+  // stable protocol: a bool leaves the config as it was, anything else is
+  // still rejected. dc_table_cap was never a wire key.
+  HoloCleanConfig before = config;
+  for (bool on : {false, true}) {
+    JsonValue retired = JsonValue::Object();
+    retired.Set("compiled_kernel", JsonValue::Bool(on));
+    ASSERT_TRUE(serve::ApplyConfigOverrides(retired, &config).ok());
+    EXPECT_EQ(ConfigFingerprint(config), ConfigFingerprint(before));
+    EXPECT_EQ(config.columnar, before.columnar);
+    EXPECT_EQ(config.num_threads, before.num_threads);
+  }
+  JsonValue retired_number = JsonValue::Object();
+  retired_number.Set("compiled_kernel", JsonValue::Number(0));
+  EXPECT_EQ(serve::ApplyConfigOverrides(retired_number, &config).code(),
+            StatusCode::kInvalidArgument);
+  JsonValue cap = JsonValue::Object();
+  cap.Set("dc_table_cap", JsonValue::Number(16));
+  EXPECT_EQ(serve::ApplyConfigOverrides(cap, &config).code(),
+            StatusCode::kInvalidArgument);
 
   JsonValue unknown = JsonValue::Object();
   unknown.Set("tao", JsonValue::Number(0.7));  // Typo must not pass silently.
@@ -531,6 +553,49 @@ TEST(ServeServer, DrainThenRestartRestoresWarmStateBitIdentically) {
   EXPECT_TRUE(st.GetBool("warm"));
   EXPECT_TRUE(st.GetBool("has_run"));
 
+  JsonValue resumed = second.Handle(CleanFrame("acme", "food"));
+  ASSERT_TRUE(resumed.GetBool("ok")) << resumed.Dump();
+  EXPECT_TRUE(resumed.GetBool("warm"));
+  EXPECT_EQ(RepairsDump(resumed), warm_repairs);
+}
+
+TEST(ServeServer, RestoreAcceptsManifestCarryingRetiredKernelKnobs) {
+  // Drain manifests written before compiled_kernel and dc_table_cap were
+  // retired carry both keys in every session config; such a manifest must
+  // still bring the parked session back warm and bit-identical.
+  ServerOptions options = FastServerOptions();
+  options.state_directory = FreshDir("drain_retired_knobs");
+  const std::string manifest_path = options.state_directory + "/manifest.json";
+  std::remove(manifest_path.c_str());
+  Payload payload = MakePayload(0);
+
+  std::string warm_repairs;
+  {
+    CleaningServer first(options);
+    ASSERT_TRUE(
+        first.Handle(RegisterFrame("acme", "food", payload)).GetBool("ok"));
+    ASSERT_TRUE(first.Handle(CleanFrame("acme", "food")).GetBool("ok"));
+    JsonValue warm = first.Handle(CleanFrame("acme", "food"));
+    ASSERT_TRUE(warm.GetBool("warm"));
+    warm_repairs = RepairsDump(warm);
+    ASSERT_TRUE(first.Drain().ok());
+  }
+
+  std::string manifest;
+  {
+    std::ifstream in(manifest_path);
+    std::ostringstream text;
+    text << in.rdbuf();
+    manifest = text.str();
+  }
+  const std::string anchor = "\"columnar\":";
+  size_t at = manifest.find(anchor);
+  ASSERT_NE(at, std::string::npos) << manifest;
+  manifest.insert(at, "\"compiled_kernel\":false,\"dc_table_cap\":16,");
+  std::ofstream(manifest_path) << manifest;
+
+  CleaningServer second(options);
+  ASSERT_TRUE(second.RestoreState().ok());
   JsonValue resumed = second.Handle(CleanFrame("acme", "food"));
   ASSERT_TRUE(resumed.GetBool("ok")) << resumed.Dump();
   EXPECT_TRUE(resumed.GetBool("warm"));

@@ -105,6 +105,41 @@ TEST(StringUtil, ParseDoubleOr) {
   EXPECT_DOUBLE_EQ(ParseDoubleOr("zzz", -1.0), -1.0);
 }
 
+TEST(StringUtil, ParseNumberAcceptsWholeInRangeValues) {
+  EXPECT_EQ(ParseNumber<size_t>("--rows", "1000").value(), 1000u);
+  EXPECT_EQ(ParseNumber<uint64_t>("--seed", "18446744073709551615").value(),
+            UINT64_MAX);
+  EXPECT_EQ(ParseNumber("--port", "65535", 0, 65535).value(), 65535);
+  EXPECT_EQ(ParseNumber<int64_t>("tid", "-3").value(), -3);
+  EXPECT_DOUBLE_EQ(ParseNumber("--tau", "0.25", 0.0, 1.0).value(), 0.25);
+  EXPECT_DOUBLE_EQ(ParseNumber("--tau", "1", 0.0, 1.0).value(), 1.0);
+  EXPECT_DOUBLE_EQ(ParseNumber<double>("x", "-1e3").value(), -1000.0);
+}
+
+TEST(StringUtil, ParseNumberRejectsMalformedAndOutOfRange) {
+  for (const char* bad : {"", "abc", "12x", " 12", "12 ", "+12", "0x10",
+                          "1.5"}) {
+    EXPECT_FALSE(ParseNumber<size_t>("--rows", bad).ok()) << bad;
+  }
+  // No sign on unsigned types, and no wrap-around on overflow.
+  EXPECT_FALSE(ParseNumber<size_t>("--threads", "-1").ok());
+  EXPECT_FALSE(ParseNumber<uint64_t>("--seed", "18446744073709551616").ok());
+  EXPECT_FALSE(ParseNumber<int>("--poll", "2147483648").ok());
+  // Caller-supplied bounds are inclusive.
+  EXPECT_FALSE(ParseNumber("--port", "65536", 0, 65535).ok());
+  EXPECT_FALSE(ParseNumber("--retries", "0", 1, 10).ok());
+  EXPECT_FALSE(ParseNumber<size_t>("--rows", "0", 1).ok());
+  for (const char* bad : {"x", "nan", "inf", "-inf", "1.5", "-0.1", "1e"}) {
+    EXPECT_FALSE(ParseNumber("--tau", bad, 0.0, 1.0).ok()) << bad;
+  }
+  EXPECT_FALSE(ParseNumber<double>("x", "1e999").ok());
+
+  Result<size_t> bad = ParseNumber<size_t>("--rows", "abc", 1);
+  EXPECT_EQ(bad.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(bad.status().message().find("--rows"), std::string::npos);
+  EXPECT_NE(bad.status().message().find("\"abc\""), std::string::npos);
+}
+
 TEST(StringUtil, EditDistanceBasics) {
   EXPECT_EQ(EditDistance("", ""), 0u);
   EXPECT_EQ(EditDistance("abc", "abc"), 0u);

@@ -11,7 +11,6 @@
 //             [--tau 0.5] [--mode feats|factors|both] [--partitioning]
 //             [--min-confidence 0.0] [--seed 42] [--threads 0]
 //             [--stages detect,compile] [--rerun-from infer]
-//             [--compiled-kernel on|off] [--dc-table-cap 4096]
 //   holoclean --batch manifest.txt [--threads 0] [shared config flags]
 //   holoclean --data growing.csv --constraints dcs.txt --follow
 //             [--follow-batch-rows 64] [--follow-poll-ms 500]
@@ -28,6 +27,7 @@
 // over a shared worker pool, each with the CLI's configuration.
 
 #include <chrono>
+#include <climits>
 #include <cstdio>
 #include <cstring>
 #include <future>
@@ -44,6 +44,7 @@
 #include "holoclean/extdata/md_parser.h"
 #include "holoclean/stream/stream_session.h"
 #include "holoclean/util/csv.h"
+#include "holoclean/util/string_util.h"
 #include "holoclean/util/timer.h"
 
 namespace holoclean {
@@ -158,13 +159,6 @@ void PrintUsage() {
       "  --mmap-restore        mmap the --load-session snapshot and defer\n"
       "                        the factor-graph section to first stage\n"
       "                        access instead of parsing it up front\n"
-      "  --compiled-kernel V   on (default) runs learn/infer on the compiled\n"
-      "                        kernel (dense weights, CSR arenas, DC\n"
-      "                        violation tables); off uses the reference\n"
-      "                        interpreter — results are bit-identical\n"
-      "  --dc-table-cap N      max precomputed violation-table entries per\n"
-      "                        DC factor; larger factors fall back to the\n"
-      "                        evaluator (default 4096)\n"
       "  --follow              after the initial clean, keep polling --data\n"
       "                        for appended rows and incrementally re-clean\n"
       "                        each batch (streaming ingestion)\n"
@@ -230,16 +224,21 @@ Result<CliOptions> ParseArgs(int argc, char** argv) {
     } else if (arg == "--ground-truth") {
       options.ground_truth_path = value;
     } else if (arg == "--discover-max-error") {
-      options.discover_max_error = std::stod(value);
+      HOLO_ASSIGN_OR_RETURN(error, ParseNumber(arg, value, 0.0, 1.0));
+      options.discover_max_error = error;
       options.discover = true;
     } else if (arg == "--tau") {
-      options.config.tau = std::stod(value);
+      HOLO_ASSIGN_OR_RETURN(tau, ParseNumber(arg, value, 0.0, 1.0));
+      options.config.tau = tau;
     } else if (arg == "--min-confidence") {
-      options.min_confidence = std::stod(value);
+      HOLO_ASSIGN_OR_RETURN(confidence, ParseNumber(arg, value, 0.0, 1.0));
+      options.min_confidence = confidence;
     } else if (arg == "--seed") {
-      options.config.seed = std::stoull(value);
+      HOLO_ASSIGN_OR_RETURN(seed, ParseNumber<uint64_t>(arg, value));
+      options.config.seed = seed;
     } else if (arg == "--threads") {
-      options.config.num_threads = std::stoul(value);
+      HOLO_ASSIGN_OR_RETURN(threads, ParseNumber<size_t>(arg, value));
+      options.config.num_threads = threads;
     } else if (arg == "--stages") {
       HOLO_ASSIGN_OR_RETURN(last, ParseStagesFlag(value));
       options.last_stage = last;
@@ -262,28 +261,18 @@ Result<CliOptions> ParseArgs(int argc, char** argv) {
       } else {
         return Status::InvalidArgument("unknown --snapshot-codec: " + value);
       }
-    } else if (arg == "--compiled-kernel") {
-      if (value == "on") {
-        options.config.compiled_kernel = true;
-      } else if (value == "off") {
-        options.config.compiled_kernel = false;
-      } else {
-        return Status::InvalidArgument("unknown --compiled-kernel: " + value +
-                                       " (expected on|off)");
-      }
-    } else if (arg == "--dc-table-cap") {
-      options.config.dc_table_cap = std::stoul(value);
     } else if (arg == "--follow-batch-rows") {
-      options.follow_batch_rows = std::stoul(value);
-      if (options.follow_batch_rows == 0) {
-        return Status::InvalidArgument("--follow-batch-rows must be >= 1");
-      }
+      HOLO_ASSIGN_OR_RETURN(rows, ParseNumber<size_t>(arg, value, 1));
+      options.follow_batch_rows = rows;
     } else if (arg == "--follow-poll-ms") {
-      options.follow_poll_ms = std::atoi(value.c_str());
+      HOLO_ASSIGN_OR_RETURN(poll_ms, ParseNumber(arg, value, 0, INT_MAX));
+      options.follow_poll_ms = poll_ms;
     } else if (arg == "--follow-max-batches") {
-      options.follow_max_batches = std::atoi(value.c_str());
+      HOLO_ASSIGN_OR_RETURN(batches, ParseNumber(arg, value, 0, INT_MAX));
+      options.follow_max_batches = batches;
     } else if (arg == "--follow-idle-polls") {
-      options.follow_idle_polls = std::atoi(value.c_str());
+      HOLO_ASSIGN_OR_RETURN(polls, ParseNumber(arg, value, 0, INT_MAX));
+      options.follow_idle_polls = polls;
     } else if (arg == "--follow-mode") {
       if (value == "warm") {
         options.follow_mode = StreamMode::kWarm;

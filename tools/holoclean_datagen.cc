@@ -14,6 +14,7 @@
 #include "holoclean/data/hospital.h"
 #include "holoclean/data/physicians.h"
 #include "holoclean/util/csv.h"
+#include "holoclean/util/string_util.h"
 
 namespace holoclean {
 namespace {
@@ -79,25 +80,54 @@ Status Run(const std::string& name, size_t rows, uint64_t seed,
 }  // namespace
 }  // namespace holoclean
 
+namespace {
+
+int Usage() {
+  std::fprintf(stderr,
+               "usage: holoclean_datagen [--dataset hospital|flights|food|"
+               "physicians]\n"
+               "                         [--rows N] [--seed N] [--out PREFIX]\n"
+               "writes PREFIX_dirty.csv, PREFIX_clean.csv,\n"
+               "PREFIX_constraints.txt and, with a dictionary,\n"
+               "PREFIX_dict.csv and PREFIX_mds.txt (PREFIX defaults to the\n"
+               "dataset name)\n");
+  return 2;
+}
+
+int BadValue(const holoclean::Status& status) {
+  std::fprintf(stderr, "%s\n", status.message().c_str());
+  return 2;
+}
+
+}  // namespace
+
 int main(int argc, char** argv) {
   std::string dataset = "hospital";
   std::string out;
   size_t rows = 1000;
   uint64_t seed = 1;
-  for (int i = 1; i + 1 < argc; i += 2) {
+  for (int i = 1; i < argc; i += 2) {
     std::string arg = argv[i];
+    if (arg == "--help" || arg == "-h" || i + 1 == argc) {
+      // Help, or a flag missing its value: nothing is written.
+      return Usage();
+    }
     std::string value = argv[i + 1];
     if (arg == "--dataset") {
       dataset = value;
     } else if (arg == "--rows") {
-      rows = std::stoul(value);
+      auto parsed = holoclean::ParseNumber<size_t>(arg, value, 1);
+      if (!parsed.ok()) return BadValue(parsed.status());
+      rows = parsed.value();
     } else if (arg == "--seed") {
-      seed = std::stoull(value);
+      auto parsed = holoclean::ParseNumber<uint64_t>(arg, value);
+      if (!parsed.ok()) return BadValue(parsed.status());
+      seed = parsed.value();
     } else if (arg == "--out") {
       out = value;
     } else {
       std::fprintf(stderr, "unknown flag: %s\n", arg.c_str());
-      return 2;
+      return Usage();
     }
   }
   if (out.empty()) out = dataset;

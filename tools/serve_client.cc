@@ -15,7 +15,7 @@
 //   holoclean_serve_client --port N status   [tenant dataset]
 //
 // `clean` accepts config overrides as key=value pairs (tau=0.7
-// epochs=10 compiled_kernel=false ...). `status` with no arguments asks
+// epochs=10 gibbs_samples=40 ...). `status` with no arguments asks
 // for the global server view (queue depth, error counters). `append`
 // streams the data rows of a headered CSV file into the tenant's working
 // copy (append_rows op) and prints the incremental re-clean's report.
@@ -26,14 +26,16 @@
 //   --retries N        retry overloaded/draining/transport rejections with
 //                      jittered exponential backoff (N attempts total)
 
+#include <cerrno>
+#include <climits>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 #include <vector>
 
 #include "holoclean/serve/client.h"
 #include "holoclean/util/csv.h"
+#include "holoclean/util/string_util.h"
 
 namespace {
 
@@ -87,13 +89,12 @@ Status AddOverride(const std::string& pair, JsonValue* overrides) {
     overrides->Set(key, JsonValue::Bool(value == "true"));
     return Status::OK();
   }
-  char* end = nullptr;
-  double number = std::strtod(value.c_str(), &end);
-  if (end == value.c_str() || *end != '\0') {
+  auto number = holoclean::ParseNumber<double>(key, value);
+  if (!number.ok()) {
     return Status::InvalidArgument("override \"" + pair +
                                    "\" needs a bool or numeric value");
   }
-  overrides->Set(key, JsonValue::Number(number));
+  overrides->Set(key, JsonValue::Number(number.value()));
   return Status::OK();
 }
 
@@ -106,19 +107,34 @@ int main(int argc, char** argv) {
   int retries = 1;
   std::vector<std::string> args;
   for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--port") == 0 && i + 1 < argc) {
-      port = std::atoi(argv[++i]);
-    } else if (std::strcmp(argv[i], "--deadline-ms") == 0 && i + 1 < argc) {
-      deadline_ms = std::atoi(argv[++i]);
-    } else if (std::strcmp(argv[i], "--timeout-ms") == 0 && i + 1 < argc) {
-      timeout_ms = std::atoi(argv[++i]);
-    } else if (std::strcmp(argv[i], "--retries") == 0 && i + 1 < argc) {
-      retries = std::atoi(argv[++i]);
-    } else {
-      args.emplace_back(argv[i]);
+    int* flag = nullptr;
+    int min = 0;
+    int max = INT_MAX;
+    if (std::strcmp(argv[i], "--port") == 0) {
+      flag = &port;
+      min = 1;
+      max = 65535;
+    } else if (std::strcmp(argv[i], "--deadline-ms") == 0) {
+      flag = &deadline_ms;
+    } else if (std::strcmp(argv[i], "--timeout-ms") == 0) {
+      flag = &timeout_ms;
+    } else if (std::strcmp(argv[i], "--retries") == 0) {
+      flag = &retries;
+      min = 1;
     }
+    if (flag == nullptr || i + 1 == argc) {
+      args.emplace_back(argv[i]);
+      continue;
+    }
+    auto parsed = holoclean::ParseNumber(argv[i], argv[i + 1], min, max);
+    if (!parsed.ok()) {
+      std::fprintf(stderr, "%s\n", parsed.status().message().c_str());
+      return 2;
+    }
+    *flag = parsed.value();
+    ++i;
   }
-  if (port <= 0 || args.empty() || retries < 1) return Usage();
+  if (port == 0 || args.empty()) return Usage();
 
   serve::Request req;
   const std::string& op = args[0];
@@ -157,7 +173,12 @@ int main(int argc, char** argv) {
     req.op = serve::Op::kFeedback;
     req.tenant = args[1];
     req.dataset = args[2];
-    req.cell_tid = std::atoll(args[3].c_str());
+    auto tid = holoclean::ParseNumber<int64_t>("tid", args[3], 0);
+    if (!tid.ok()) {
+      std::fprintf(stderr, "%s\n", tid.status().message().c_str());
+      return 2;
+    }
+    req.cell_tid = tid.value();
     req.cell_attr = args[4];
     req.cell_value = args[5];
   } else if (op == "append" && args.size() == 4) {

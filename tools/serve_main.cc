@@ -24,6 +24,8 @@
 #include <signal.h>
 #include <unistd.h>
 
+#include <climits>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -31,6 +33,7 @@
 
 #include "holoclean/serve/server.h"
 #include "holoclean/util/failpoint.h"
+#include "holoclean/util/string_util.h"
 
 namespace {
 
@@ -42,14 +45,6 @@ void HandleShutdownSignal(int) {
   char byte = 1;
   ssize_t ignored = ::write(g_shutdown_pipe[1], &byte, 1);
   (void)ignored;
-}
-
-bool ParseSizeFlag(const char* value, size_t* out) {
-  char* end = nullptr;
-  unsigned long long parsed = std::strtoull(value, &end, 10);
-  if (end == value || *end != '\0') return false;
-  *out = static_cast<size_t>(parsed);
-  return true;
 }
 
 void PrintUsage() {
@@ -72,17 +67,28 @@ int main(int argc, char** argv) {
     auto next = [&]() -> const char* {
       return i + 1 < argc ? argv[++i] : nullptr;
     };
+    // Reads the flag's value as a number in [min, max]; prints why and
+    // returns false when it is missing, malformed, or out of range.
+    auto number = [&](size_t min, size_t max, size_t* out) {
+      const char* text = next();
+      auto parsed = holoclean::ParseNumber<size_t>(
+          arg, text == nullptr ? "" : text, min, max);
+      if (!parsed.ok()) {
+        std::fprintf(stderr, "%s\n", parsed.status().message().c_str());
+        return false;
+      }
+      *out = parsed.value();
+      return true;
+    };
+    const size_t kIntMax = static_cast<size_t>(INT_MAX);
+    const size_t kInt64Max = static_cast<size_t>(INT64_MAX);
     const char* value = nullptr;
     size_t parsed = 0;
     if (arg == "--help" || arg == "-h") {
       PrintUsage();
       return 0;
     } else if (arg == "--port") {
-      if ((value = next()) == nullptr || !ParseSizeFlag(value, &parsed) ||
-          parsed > 65535) {
-        std::fprintf(stderr, "--port needs a value in [0, 65535]\n");
-        return 2;
-      }
+      if (!number(0, 65535, &parsed)) return 2;
       options.port = static_cast<int>(parsed);
     } else if (arg == "--state-dir") {
       if ((value = next()) == nullptr) {
@@ -97,58 +103,28 @@ int main(int argc, char** argv) {
       }
       options.spill_directory = value;
     } else if (arg == "--threads") {
-      if ((value = next()) == nullptr || !ParseSizeFlag(value, &parsed)) {
-        std::fprintf(stderr, "--threads needs a number\n");
-        return 2;
-      }
-      options.engine_threads = parsed;
+      if (!number(0, SIZE_MAX, &options.engine_threads)) return 2;
     } else if (arg == "--cache-capacity") {
-      if ((value = next()) == nullptr || !ParseSizeFlag(value, &parsed)) {
-        std::fprintf(stderr, "--cache-capacity needs a number\n");
-        return 2;
-      }
-      options.session_cache_capacity = parsed;
+      if (!number(0, SIZE_MAX, &options.session_cache_capacity)) return 2;
     } else if (arg == "--tenant-inflight") {
-      if ((value = next()) == nullptr || !ParseSizeFlag(value, &parsed) ||
-          parsed == 0) {
-        std::fprintf(stderr, "--tenant-inflight needs a positive number\n");
+      if (!number(1, SIZE_MAX, &options.admission.per_tenant_inflight)) {
         return 2;
       }
-      options.admission.per_tenant_inflight = parsed;
     } else if (arg == "--global-inflight") {
-      if ((value = next()) == nullptr || !ParseSizeFlag(value, &parsed) ||
-          parsed == 0) {
-        std::fprintf(stderr, "--global-inflight needs a positive number\n");
-        return 2;
-      }
-      options.admission.global_inflight = parsed;
+      if (!number(1, SIZE_MAX, &options.admission.global_inflight)) return 2;
     } else if (arg == "--queue-depth") {
-      if ((value = next()) == nullptr || !ParseSizeFlag(value, &parsed)) {
-        std::fprintf(stderr,
-                     "--queue-depth needs a number (0 = reject-only)\n");
-        return 2;
-      }
-      options.queue.max_depth = parsed;
+      // 0 = reject-only.
+      if (!number(0, SIZE_MAX, &options.queue.max_depth)) return 2;
     } else if (arg == "--default-deadline-ms") {
-      if ((value = next()) == nullptr || !ParseSizeFlag(value, &parsed) ||
-          parsed == 0) {
-        std::fprintf(stderr, "--default-deadline-ms needs a positive number\n");
-        return 2;
-      }
+      if (!number(1, kInt64Max, &parsed)) return 2;
       options.queue.default_deadline_ms = static_cast<int64_t>(parsed);
     } else if (arg == "--max-deadline-ms") {
-      if ((value = next()) == nullptr || !ParseSizeFlag(value, &parsed)) {
-        std::fprintf(stderr,
-                     "--max-deadline-ms needs a number (0 = uncapped)\n");
-        return 2;
-      }
+      // 0 = uncapped.
+      if (!number(0, kInt64Max, &parsed)) return 2;
       options.queue.max_deadline_ms = static_cast<int64_t>(parsed);
     } else if (arg == "--socket-timeout-ms") {
-      if ((value = next()) == nullptr || !ParseSizeFlag(value, &parsed)) {
-        std::fprintf(stderr,
-                     "--socket-timeout-ms needs a number (0 = blocking)\n");
-        return 2;
-      }
+      // 0 = blocking.
+      if (!number(0, kIntMax, &parsed)) return 2;
       options.socket_timeout_ms = static_cast<int>(parsed);
     } else if (arg == "--failpoints") {
       if ((value = next()) == nullptr) {
