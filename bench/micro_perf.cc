@@ -57,7 +57,7 @@ void BM_CooccurrenceBuild(benchmark::State& state) {
   std::vector<AttrId> attrs = data.dataset.RepairableAttrs();
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        CooccurrenceStats::Build(data.dataset.dirty(), attrs));
+        CooccurrenceStats::BuildColumnar(data.dataset.dirty(), attrs));
   }
   state.SetItemsProcessed(state.iterations() *
                           data.dataset.dirty().num_cells());
@@ -68,16 +68,16 @@ void BM_DomainPruning(benchmark::State& state) {
   GeneratedData& data = SharedHospital();
   std::vector<AttrId> attrs = data.dataset.RepairableAttrs();
   CooccurrenceStats cooc =
-      CooccurrenceStats::Build(data.dataset.dirty(), attrs);
+      CooccurrenceStats::BuildColumnar(data.dataset.dirty(), attrs);
   ViolationDetector detector(&data.dataset.dirty(), &data.dcs);
   NoisyCells noisy =
       ViolationDetector::NoisyFromViolations(detector.Detect());
   DomainPruningOptions options;
   options.tau = static_cast<double>(state.range(0)) / 10.0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(PruneDomains(data.dataset.dirty(),
-                                          noisy.cells(), attrs, cooc,
-                                          options));
+    benchmark::DoNotOptimize(PruneDomainsColumnar(data.dataset.dirty(),
+                                                  noisy.cells(), attrs, cooc,
+                                                  options));
   }
   state.SetItemsProcessed(state.iterations() * noisy.size());
 }
@@ -87,7 +87,7 @@ struct GroundedModel {
   GroundedModel(GeneratedData& data, DcMode mode) {
     attrs = data.dataset.RepairableAttrs();
     table = &data.dataset.dirty();
-    cooc = CooccurrenceStats::Build(*table, attrs);
+    cooc = CooccurrenceStats::BuildColumnar(*table, attrs);
     ViolationDetector detector(table, &data.dcs);
     violations = detector.Detect();
     noisy = ViolationDetector::NoisyFromViolations(violations);
@@ -104,7 +104,7 @@ struct GroundedModel {
     all.insert(all.end(), evidence.begin(), evidence.end());
     DomainPruningOptions prune;
     prune.tau = 0.5;
-    domains = PruneDomains(*table, all, attrs, cooc, prune);
+    domains = PruneDomainsColumnar(*table, all, attrs, cooc, prune);
 
     input.table = table;
     input.dcs = &data.dcs;
@@ -237,8 +237,10 @@ void RunFoodStages(const HoloCleanConfig& config, StageRun* ref,
   FoodOptions options;
   options.num_rows = 4000;  // The acceptance workload; bench scale exempt.
   GeneratedData data = MakeFood(options);
+  SessionOptions session_options;
+  session_options.config = config;
   auto opened = OpenStandaloneSession(
-      CleaningInputs::Borrowed(&data.dataset, &data.dcs), {config});
+      CleaningInputs::Borrowed(&data.dataset, &data.dcs), session_options);
   if (!opened.ok()) {
     std::fprintf(stderr, "food open failed: %s\n",
                  opened.status().ToString().c_str());

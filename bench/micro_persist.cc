@@ -74,9 +74,12 @@ int main() {
 
   // Cold run: the baseline every restore competes against.
   GeneratedData cold_data = MakeFood({rows, 0.06, 7});
+  SessionOptions session_options;
+  session_options.config = config;
   Timer timer;
-  auto cold_report = CleanOnce(
-      CleaningInputs::Borrowed(&cold_data.dataset, &cold_data.dcs), {config});
+  auto cold_report =
+      CleanOnce(CleaningInputs::Borrowed(&cold_data.dataset, &cold_data.dcs),
+                session_options);
   if (!cold_report.ok()) {
     std::fprintf(stderr, "cold run failed: %s\n",
                  cold_report.status().ToString().c_str());
@@ -88,7 +91,8 @@ int main() {
   // One session, saved after learn under each variant's options.
   GeneratedData save_data = MakeFood({rows, 0.06, 7});
   auto opened = OpenStandaloneSession(
-      CleaningInputs::Borrowed(&save_data.dataset, &save_data.dcs), {config});
+      CleaningInputs::Borrowed(&save_data.dataset, &save_data.dcs),
+      session_options);
   if (!opened.ok()) return 1;
   Session session = std::move(opened).value();
   if (!session.RunThrough(StageId::kLearn).ok()) return 1;

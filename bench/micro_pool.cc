@@ -73,9 +73,11 @@ int main() {
     for (size_t i = 0; i < kFleet; ++i) {
       HoloCleanConfig job_config = config;
       job_config.seed = Engine::PerJobSeed(config.seed, i);
+      SessionOptions session_options;
+      session_options.config = job_config;
       auto report = CleanOnce(
           CleaningInputs::Borrowed(&fleet[i]->dataset, &fleet[i]->dcs),
-          {job_config});
+          session_options);
       if (!report.ok()) {
         std::fprintf(stderr, "standalone run %zu failed: %s\n", i,
                      report.status().ToString().c_str());

@@ -30,8 +30,10 @@ StageRun RunStaged(size_t rows, size_t threads) {
   config.partitioning = true;
   config.gibbs_burn_in = 10;
   config.gibbs_samples = 40;
+  SessionOptions session_options;
+  session_options.config = config;
   auto session = OpenStandaloneSession(
-      CleaningInputs::Borrowed(&data.dataset, &data.dcs), {config});
+      CleaningInputs::Borrowed(&data.dataset, &data.dcs), session_options);
   if (!session.ok()) return {};
   auto report = session.value().Run();
   if (!report.ok()) return {};
@@ -95,8 +97,10 @@ int main() {
   config.partitioning = true;
   config.gibbs_burn_in = 10;
   config.gibbs_samples = 40;
+  SessionOptions session_options;
+  session_options.config = config;
   auto session = OpenStandaloneSession(
-      CleaningInputs::Borrowed(&data.dataset, &data.dcs), {config});
+      CleaningInputs::Borrowed(&data.dataset, &data.dcs), session_options);
   if (!session.ok()) {
     std::fprintf(stderr, "open failed\n");
     return 1;

@@ -29,9 +29,11 @@ int main() {
 
   HoloCleanConfig config;
   config.tau = 0.3;  // Paper Table 3 uses tau=0.3 for Flights.
+  holoclean::SessionOptions session_options;
+  session_options.config = config;
   auto report = holoclean::CleanOnce(
       holoclean::CleaningInputs::Borrowed(&data.dataset, &data.dcs),
-      {config});
+      session_options);
   if (!report.ok()) {
     std::fprintf(stderr, "run failed: %s\n",
                  report.status().ToString().c_str());

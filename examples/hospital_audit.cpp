@@ -19,10 +19,12 @@ int main() {
 
   HoloCleanConfig config;
   config.tau = 0.5;
+  holoclean::SessionOptions session_options;
+  session_options.config = config;
   auto report = holoclean::CleanOnce(
       holoclean::CleaningInputs::Borrowed(&data.dataset, &data.dcs,
                                           &data.dicts, &data.mds),
-      {config});
+      session_options);
   if (!report.ok()) {
     std::fprintf(stderr, "run failed: %s\n",
                  report.status().ToString().c_str());

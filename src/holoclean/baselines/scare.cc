@@ -36,7 +36,7 @@ double LogLikelihood(const CooccurrenceStats& cooc, const Table& table,
 std::vector<Repair> Scare::Run(const Dataset& dataset) const {
   const Table& table = dataset.dirty();
   std::vector<AttrId> attrs = dataset.RepairableAttrs();
-  CooccurrenceStats cooc = CooccurrenceStats::Build(table, attrs);
+  CooccurrenceStats cooc = CooccurrenceStats::BuildColumnar(table, attrs);
   size_t num_rows = table.num_rows();
 
   std::vector<Repair> repairs;

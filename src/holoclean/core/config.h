@@ -64,16 +64,6 @@ struct HoloCleanConfig {
   int gibbs_burn_in = 10;
   int gibbs_samples = 50;
 
-  /// Columnar fast paths for detect/compile: violation detection over
-  /// per-column dictionary codes, co-occurrence counting passes, flat-run
-  /// domain pruning, and context-run grounding features. Storage itself is
-  /// always columnar (ColumnStore behind Table); this knob only selects the
-  /// scan algorithms and is bit-identical to the row reference paths for
-  /// any seed and thread count, so it is excluded from the snapshot config
-  /// fingerprint. Off switches back to the row reference path (A/B
-  /// comparisons, differential tests).
-  bool columnar = true;
-
   /// Master seed for every randomized component.
   uint64_t seed = 42;
 
@@ -122,7 +112,6 @@ struct HoloCleanConfig {
     g.dc_factor_weight = dc_factor_weight;
     g.minimality_weight = minimality_weight;
     g.sim_threshold = sim_threshold;
-    g.columnar = columnar;
     return g;
   }
 };

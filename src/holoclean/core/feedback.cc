@@ -20,8 +20,10 @@ size_t FeedbackSession::AddLabel(const FeedbackLabel& label) {
 
 Result<Report> FeedbackSession::Run() {
   if (!session_) {
+    SessionOptions options;
+    options.config = config_;
     auto opened = OpenStandaloneSession(
-        CleaningInputs::Borrowed(dataset_, &dcs_), {config_});
+        CleaningInputs::Borrowed(dataset_, &dcs_), options);
     if (!opened.ok()) return opened.status();
     session_.emplace(std::move(opened).value());
   }

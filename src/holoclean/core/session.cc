@@ -196,7 +196,6 @@ void Session::PinCell(const CellRef& cell, ValueId value) {
     ViolationDetector::Options options;
     options.sim_threshold = ctx_.config.sim_threshold;
     options.pool = ctx_.pool;
-    options.columnar = ctx_.config.columnar;
     ViolationDetector detector(&ctx_.dataset->dirty(), ctx_.dcs, options);
     DeltaDetectResult delta = detector.DetectForTuple(cell.tid);
     DetectResult merged = ViolationDetector::MergeTupleDelta(

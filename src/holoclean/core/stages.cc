@@ -97,7 +97,6 @@ class DetectStage : public PipelineStage {
     ViolationDetector::Options options;
     options.sim_threshold = ctx->config.sim_threshold;
     options.pool = ctx->pool;
-    options.columnar = ctx->config.columnar;
     ViolationDetector detector(&table, ctx->dcs, options);
     DetectResult result = detector.DetectAll();
     ctx->violations = std::move(result.violations);
@@ -137,9 +136,7 @@ class CompileStage : public PipelineStage {
     ctx->deferred_graph.reset();
     ctx->compiled.reset();
 
-    ctx->cooc = config.columnar
-                    ? CooccurrenceStats::BuildColumnar(table, attrs, ctx->pool)
-                    : CooccurrenceStats::Build(table, attrs);
+    ctx->cooc = CooccurrenceStats::BuildColumnar(table, attrs, ctx->pool);
 
     // External data: evaluate matching dependencies, intern suggested
     // values so they can enter candidate domains.
@@ -175,12 +172,8 @@ class CompileStage : public PipelineStage {
     std::vector<CellRef> all_cells = ctx->query_cells;
     all_cells.insert(all_cells.end(), ctx->evidence_cells.begin(),
                      ctx->evidence_cells.end());
-    ctx->domains = config.columnar
-                       ? PruneDomainsColumnar(table, all_cells, attrs,
-                                              ctx->cooc, prune_options,
-                                              ctx->pool)
-                       : PruneDomains(table, all_cells, attrs, ctx->cooc,
-                                      prune_options);
+    ctx->domains = PruneDomainsColumnar(table, all_cells, attrs, ctx->cooc,
+                                        prune_options, ctx->pool);
 
     // Candidates suggested by external dictionaries join the domain of the
     // matched (noisy) cells.

@@ -10,7 +10,7 @@ NoisyCells OutlierDetector::Detect(const Dataset& dataset) const {
   const Table& table = dataset.dirty();
   std::vector<AttrId> attrs = dataset.RepairableAttrs();
   FrequencyStats freq = FrequencyStats::Build(table);
-  CooccurrenceStats cooc = CooccurrenceStats::Build(table, attrs);
+  CooccurrenceStats cooc = CooccurrenceStats::BuildColumnar(table, attrs);
 
   for (size_t t = 0; t < table.num_rows(); ++t) {
     TupleId tid = static_cast<TupleId>(t);

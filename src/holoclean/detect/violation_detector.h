@@ -54,13 +54,12 @@ struct DeltaDetectResult {
 /// see paper Section 5.1.2). Constraints without an equality predicate fall
 /// back to the full pair scan, capped at `max_fallback_pairs`.
 ///
-/// By default predicates are evaluated columnar: single-role predicates
-/// become per-tuple verdict masks computed by scanning the ColumnStore's
-/// code arrays (constant predicates resolve once per distinct code), and
+/// Predicates are evaluated columnar: single-role predicates become
+/// per-tuple verdict masks computed by scanning the ColumnStore's code
+/// arrays (constant predicates resolve once per distinct code), and
 /// cross-tuple predicates become integer comparisons over the decoded id
-/// arrays. The output is bit-identical to the row-at-a-time path
-/// (`Options::columnar = false`), which is kept as the reference
-/// implementation for differential tests.
+/// arrays. The row-at-a-time reference the output is pinned against, bit
+/// for bit, is oracle::DetectAll in tests/oracle/.
 class ViolationDetector {
  public:
   struct Options {
@@ -71,9 +70,6 @@ class ViolationDetector {
     /// Optional worker pool: constraints are detected in parallel (the
     /// result is identical to the sequential order).
     ThreadPool* pool = nullptr;
-    /// Evaluate predicates with vectorized scans over the column store
-    /// instead of row-at-a-time evaluator calls. Same output, faster.
-    bool columnar = true;
   };
 
   ViolationDetector(const Table* table,
@@ -145,11 +141,8 @@ class ViolationDetector {
   static DetectResult MergeDeltaImpl(std::vector<Violation> cached,
                                      TupleId changed, size_t num_dcs,
                                      DeltaDetectResult delta);
-  std::vector<Violation> DetectTwoTuple(int dc_index, bool* truncated) const;
-  std::vector<Violation> DetectSingleTuple(int dc_index) const;
-  std::vector<Violation> DetectTwoTupleColumnar(int dc_index,
-                                                bool* truncated) const;
-  std::vector<Violation> DetectSingleTupleColumnar(int dc_index) const;
+  std::vector<Violation> ScanTwoTuple(int dc_index, bool* truncated) const;
+  std::vector<Violation> ScanSingleTuple(int dc_index) const;
   Violation MakeViolation(int dc_index, TupleId t1, TupleId t2) const;
 
   const Table* table_;

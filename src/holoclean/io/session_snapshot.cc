@@ -179,13 +179,13 @@ uint64_t ConfigFingerprint(const HoloCleanConfig& c) {
   // reminder to update the fingerprint and bump kSnapshotFormatVersion if
   // the default changed behavior. (x86-64/AArch64 SysV layout.)
   //
-  // columnar and num_threads are deliberately NOT mixed in: the columnar
-  // scan paths are bit-identical to the row reference paths and results
-  // are thread-count invariant (enforced by the differential tests), so
-  // snapshots interchange freely across them. The value is unchanged from
-  // builds that also carried the two retired kernel knobs, which were
-  // never mixed in either, so their snapshots restore.
-  static_assert(sizeof(HoloCleanConfig) == 168,
+  // num_threads is deliberately NOT mixed in: results are thread-count
+  // invariant (enforced by the differential tests), so snapshots
+  // interchange freely across thread counts. The value is unchanged from
+  // builds that also carried the retired `compiled_kernel`, `dc_table_cap`
+  // and `columnar` knobs, which were never mixed in either, so their
+  // snapshots restore.
+  static_assert(sizeof(HoloCleanConfig) == 160,
                 "HoloCleanConfig changed: update ConfigFingerprint");
   uint64_t h = HashBytes("holoclean-config-v1");
   auto mix_u = [&h](uint64_t v) { h = HashCombine(h, v); };

@@ -1,68 +1,8 @@
 #include "holoclean/model/domain_pruning.h"
 
 #include <algorithm>
-#include <unordered_map>
 
 namespace holoclean {
-
-PrunedDomains PruneDomains(const Table& table,
-                           const std::vector<CellRef>& cells,
-                           const std::vector<AttrId>& attrs,
-                           const CooccurrenceStats& cooc,
-                           const DomainPruningOptions& options) {
-  PrunedDomains out;
-  for (const CellRef& cell : cells) {
-    // Score each candidate by its best co-occurrence count so the cap keeps
-    // the strongest candidates deterministically.
-    std::unordered_map<ValueId, int> scores;
-    bool has_context = false;
-    for (AttrId a_ctx : attrs) {
-      if (a_ctx == cell.attr) continue;
-      ValueId v_ctx = table.Get(cell.tid, a_ctx);
-      if (v_ctx == Dictionary::kNull) continue;
-      int ctx_count = cooc.Count(a_ctx, v_ctx);
-      if (ctx_count == 0) continue;
-      has_context = true;
-      for (const auto& [v, pair_count] :
-           cooc.CooccurringValues(cell.attr, a_ctx, v_ctx)) {
-        if (static_cast<double>(pair_count) >=
-            options.tau * static_cast<double>(ctx_count)) {
-          int& best = scores[v];
-          best = std::max(best, pair_count);
-        }
-      }
-    }
-    // Fall back to the attribute's most frequent values only when the tuple
-    // has no usable context at all (e.g. an all-NULL row). When contexts
-    // exist but nothing passes τ, Algorithm 2 legitimately yields only the
-    // observed value — that monotone behaviour is the precision/recall dial.
-    if (!has_context && options.frequency_fallback) {
-      for (ValueId v : cooc.Domain(cell.attr)) {
-        scores[v] = cooc.Count(cell.attr, v);
-      }
-    }
-
-    std::vector<std::pair<ValueId, int>> ranked(scores.begin(), scores.end());
-    std::sort(ranked.begin(), ranked.end(), [](const auto& a, const auto& b) {
-      return a.second != b.second ? a.second > b.second : a.first < b.first;
-    });
-    if (ranked.size() > options.max_candidates) {
-      ranked.resize(options.max_candidates);
-    }
-
-    std::vector<ValueId> candidates;
-    candidates.reserve(ranked.size() + 1);
-    ValueId init = table.Get(cell);
-    // The observed value is always a candidate (choosing it = "no repair").
-    if (init != Dictionary::kNull) candidates.push_back(init);
-    for (const auto& [v, score] : ranked) {
-      if (v != init) candidates.push_back(v);
-    }
-    if (candidates.empty()) candidates.push_back(init);
-    out.candidates.emplace(cell, std::move(candidates));
-  }
-  return out;
-}
 
 PrunedDomains PruneDomainsColumnar(const Table& table,
                                    const std::vector<CellRef>& cells,
@@ -74,7 +14,7 @@ PrunedDomains PruneDomainsColumnar(const Table& table,
   auto prune_cell = [&](size_t i) {
     const CellRef& cell = cells[i];
     // Collect every (value, pair_count) passing τ, then keep the best
-    // count per value by sorting — same scores as the hash-map path.
+    // count per value by sorting.
     std::vector<std::pair<ValueId, int>> hits;
     bool has_context = false;
     for (AttrId a_ctx : attrs) {
@@ -92,6 +32,10 @@ PrunedDomains PruneDomainsColumnar(const Table& table,
         }
       }
     }
+    // Fall back to the attribute's most frequent values only when the tuple
+    // has no usable context at all (e.g. an all-NULL row). When contexts
+    // exist but nothing passes τ, Algorithm 2 legitimately yields only the
+    // observed value — that monotone behaviour is the precision/recall dial.
     if (!has_context && options.frequency_fallback) {
       for (ValueId v : cooc.Domain(cell.attr)) {
         hits.emplace_back(v, cooc.Count(cell.attr, v));
@@ -118,6 +62,7 @@ PrunedDomains PruneDomainsColumnar(const Table& table,
     std::vector<ValueId> candidates;
     candidates.reserve(hits.size() + 1);
     ValueId init = table.Get(cell);
+    // The observed value is always a candidate (choosing it = "no repair").
     if (init != Dictionary::kNull) candidates.push_back(init);
     for (const auto& [v, score] : hits) {
       if (v != init) candidates.push_back(v);

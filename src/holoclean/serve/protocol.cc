@@ -260,14 +260,13 @@ Status ApplyConfigOverrides(const JsonValue& overrides,
       HOLO_RETURN_NOT_OK(integer(&config->gibbs_burn_in));
     } else if (key == "gibbs_samples") {
       HOLO_RETURN_NOT_OK(integer(&config->gibbs_samples));
-    } else if (key == "compiled_kernel") {
-      // Deprecated no-op: the compiled kernel is the only learn/infer
-      // runtime. Protocol 2 is stable, so the key is still accepted (and
-      // still type-checked) rather than rejected as unknown.
+    } else if (key == "compiled_kernel" || key == "columnar") {
+      // Deprecated no-ops: the compiled kernel is the only learn/infer
+      // runtime and the columnar scans the only detect/compile runtime.
+      // Protocol 2 is stable, so the keys are still accepted (and still
+      // type-checked) rather than rejected as unknown.
       bool ignored = false;
       HOLO_RETURN_NOT_OK(boolean(&ignored));
-    } else if (key == "columnar") {
-      HOLO_RETURN_NOT_OK(boolean(&config->columnar));
     } else if (key == "seed") {
       if (!value.is_number()) {
         return Status::InvalidArgument("config.seed must be a number");

@@ -75,15 +75,15 @@ JsonValue ConfigToJson(const HoloCleanConfig& c) {
   j.Set("max_training_cells", JsonValue::Number(static_cast<uint64_t>(c.max_training_cells)));
   j.Set("gibbs_burn_in", JsonValue::Number(c.gibbs_burn_in));
   j.Set("gibbs_samples", JsonValue::Number(c.gibbs_samples));
-  j.Set("columnar", JsonValue::Bool(c.columnar));
   j.Set("seed", JsonValue::Number(static_cast<uint64_t>(c.seed)));
   j.Set("num_threads", JsonValue::Number(static_cast<uint64_t>(c.num_threads)));
   return j;
 }
 
 /// Inverse of ConfigToJson. Keys it does not read are skipped, so
-/// manifests written by older builds, which carried two since-retired
-/// kernel knobs, restore unchanged.
+/// manifests written by older builds, which carried the since-retired
+/// `compiled_kernel`, `dc_table_cap` and `columnar` knobs, restore
+/// unchanged.
 HoloCleanConfig ConfigFromJson(const JsonValue& j) {
   HoloCleanConfig c;
   c.tau = j.GetDouble("tau", c.tau);
@@ -111,7 +111,6 @@ HoloCleanConfig ConfigFromJson(const JsonValue& j) {
       "max_training_cells", static_cast<int64_t>(c.max_training_cells)));
   c.gibbs_burn_in = static_cast<int>(j.GetInt("gibbs_burn_in", c.gibbs_burn_in));
   c.gibbs_samples = static_cast<int>(j.GetInt("gibbs_samples", c.gibbs_samples));
-  c.columnar = j.GetBool("columnar", c.columnar);
   c.seed = static_cast<uint64_t>(j.GetInt("seed", static_cast<int64_t>(c.seed)));
   c.num_threads = static_cast<size_t>(
       j.GetInt("num_threads", static_cast<int64_t>(c.num_threads)));

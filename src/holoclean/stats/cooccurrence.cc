@@ -7,70 +7,9 @@
 namespace holoclean {
 
 namespace {
+// Supported sizes: fewer than 256 attributes and 2^24 dictionary values.
 constexpr uint64_t kValueBits = 24;
-constexpr uint64_t kValueMask = (1ULL << kValueBits) - 1;
-
-// Layout: [a:8][a_ctx:8][v:24][v_ctx:24]. Checked at build time.
-uint64_t PairKey(AttrId a, ValueId v, AttrId a_ctx, ValueId v_ctx) {
-  return (static_cast<uint64_t>(static_cast<uint32_t>(a)) << 56) |
-         (static_cast<uint64_t>(static_cast<uint32_t>(a_ctx)) << 48) |
-         ((static_cast<uint64_t>(static_cast<uint32_t>(v)) & kValueMask)
-          << kValueBits) |
-         (static_cast<uint64_t>(static_cast<uint32_t>(v_ctx)) & kValueMask);
-}
 }  // namespace
-
-CooccurrenceStats CooccurrenceStats::Build(const Table& table,
-                                           const std::vector<AttrId>& attrs) {
-  CooccurrenceStats stats;
-  size_t num_attrs = table.schema().num_attrs();
-  stats.num_attrs_ = num_attrs;
-  HOLO_CHECK(num_attrs < 256);
-  HOLO_CHECK(table.dict().size() < (1ULL << kValueBits));
-  stats.pair_index_.resize(num_attrs * num_attrs);
-  stats.domains_.resize(num_attrs);
-
-  for (AttrId a : attrs) {
-    for (ValueId v : table.Column(a)) {
-      if (v == Dictionary::kNull) continue;
-      ++stats.value_counts_[KeyAV(a, v)];
-    }
-    stats.domains_[static_cast<size_t>(a)] = table.ActiveDomain(a);
-  }
-
-  std::unordered_map<uint64_t, int> pair_counts;
-  for (size_t t = 0; t < table.num_rows(); ++t) {
-    for (AttrId a : attrs) {
-      ValueId v = table.Get(static_cast<TupleId>(t), a);
-      if (v == Dictionary::kNull) continue;
-      for (AttrId a_ctx : attrs) {
-        if (a_ctx == a) continue;
-        ValueId v_ctx = table.Get(static_cast<TupleId>(t), a_ctx);
-        if (v_ctx == Dictionary::kNull) continue;
-        ++pair_counts[PairKey(a, v, a_ctx, v_ctx)];
-      }
-    }
-  }
-
-  // Build the per-context index from the flat pair counts.
-  for (const auto& [key, count] : pair_counts) {
-    AttrId a = static_cast<AttrId>(key >> 56);
-    AttrId a_ctx = static_cast<AttrId>((key >> 48) & 0xFF);
-    ValueId v = static_cast<ValueId>((key >> kValueBits) & kValueMask);
-    ValueId v_ctx = static_cast<ValueId>(key & kValueMask);
-    auto& index = stats.pair_index_[static_cast<size_t>(a) * num_attrs +
-                                    static_cast<size_t>(a_ctx)];
-    index.by_ctx[v_ctx].emplace_back(v, count);
-  }
-  // Deterministic ordering for reproducible candidate generation.
-  for (auto& index : stats.pair_index_) {
-    for (auto& [ctx, values] : index.by_ctx) {
-      std::sort(values.begin(), values.end());
-    }
-  }
-  stats.num_pair_entries_ = pair_counts.size();
-  return stats;
-}
 
 CooccurrenceStats CooccurrenceStats::BuildColumnar(
     const Table& table, const std::vector<AttrId>& attrs, ThreadPool* pool) {
@@ -155,7 +94,7 @@ CooccurrenceStats CooccurrenceStats::BuildColumnar(
         counts[static_cast<size_t>(tc)] = 0;
       }
       touched.clear();
-      // Ascending by value, matching the row build's deterministic order.
+      // Ascending by value: deterministic candidate generation.
       std::sort(list.begin(), list.end());
       entries += list.size();
     }

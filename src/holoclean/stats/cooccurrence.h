@@ -17,19 +17,15 @@ namespace holoclean {
 /// domain-pruning strategy (Algorithm 2) and the co-occurrence features of
 /// the probabilistic model.
 ///
-/// Two construction paths fill the same representation with identical
-/// contents: Build scans rows (the reference), BuildColumnar counts over
-/// the ColumnStore's per-column code arrays — grouping rows by context
-/// code with one prefix-sum scatter per attribute pair, so the hash work
-/// is per distinct value pair instead of per cell.
+/// BuildColumnar counts over the ColumnStore's per-column code arrays,
+/// grouping rows by context code with one prefix-sum scatter per attribute
+/// pair, so the hash work is per distinct value pair instead of per cell.
+/// Its contents are pinned against the row-by-row reference count,
+/// oracle::BuildCooccurrence in tests/oracle/.
 class CooccurrenceStats {
  public:
-  /// Counts co-occurrences across all ordered pairs of `attrs` in `table`.
-  /// NULL cells are skipped.
-  static CooccurrenceStats Build(const Table& table,
-                                 const std::vector<AttrId>& attrs);
-
-  /// Same statistics, counted over dictionary codes. Attribute pairs are
+  /// Counts co-occurrences across all ordered pairs of `attrs` in `table`,
+  /// over dictionary codes. NULL cells are skipped. Attribute pairs are
   /// processed in parallel when `pool` is given; the result is identical
   /// either way.
   static CooccurrenceStats BuildColumnar(const Table& table,
@@ -38,7 +34,7 @@ class CooccurrenceStats {
 
   /// Folds rows [first_row, table.num_rows()) into the statistics in place
   /// (streaming append). Counts, pair lists, and domains end up with
-  /// exactly the contents a from-scratch Build over the grown table
+  /// exactly the contents a from-scratch BuildColumnar over the grown table
   /// produces — new pair entries are inserted at their sorted position —
   /// so every consumer (pruning, features) sees bit-identical statistics.
   /// Cost is O(new_rows * |attrs|^2 * log) — independent of the old rows.

@@ -108,7 +108,6 @@ Result<Report> StreamSession::AppendRows(
   ViolationDetector::Options dopt;
   dopt.sim_threshold = ctx.config.sim_threshold;
   dopt.pool = ctx.pool;
-  dopt.columnar = ctx.config.columnar;
   ViolationDetector detector(&dirty, ctx.dcs, dopt);
   DeltaDetectResult delta = detector.DetectAppended(old_rows);
   DetectResult merged = ViolationDetector::MergeAppendDelta(
@@ -239,11 +238,8 @@ Status StreamSession::WarmAppend(size_t old_rows, StreamBatchStats* batch) {
   std::vector<CellRef> delta_cells = query_delta;
   delta_cells.insert(delta_cells.end(), evidence_delta.begin(),
                      evidence_delta.end());
-  PrunedDomains pruned =
-      config.columnar
-          ? PruneDomainsColumnar(dirty, delta_cells, ctx.attrs, ctx.cooc,
-                                 popt, ctx.pool)
-          : PruneDomains(dirty, delta_cells, ctx.attrs, ctx.cooc, popt);
+  PrunedDomains pruned = PruneDomainsColumnar(dirty, delta_cells, ctx.attrs,
+                                              ctx.cooc, popt, ctx.pool);
   for (auto& entry : pruned.candidates) {
     ctx.domains.candidates[entry.first] = std::move(entry.second);
   }

@@ -1,8 +1,10 @@
-// Differential tests for the columnar scan paths: every artifact the
-// pipeline produces with `config.columnar = true` (the default) must be
-// bit-identical to the row-at-a-time reference path, for any seed, dataset,
-// and thread count. Plus the ColumnStore invariants the scans rely on and
-// the snapshot back-compat contract for the kColumnStore section.
+// Differential tests for the detect/compile scans: every artifact the
+// pipeline produces — violations, noisy set, co-occurrence statistics,
+// pruned domains, grounded context features, repairs and posteriors — must
+// be bit-identical to the row-at-a-time reference in tests/oracle/ run on
+// the same inputs, for any seed, dataset, and thread count. Plus the
+// ColumnStore invariants the scans rely on and the snapshot back-compat
+// contract for the kColumnStore section.
 
 #include <gtest/gtest.h>
 
@@ -19,9 +21,11 @@
 #include "holoclean/data/hospital.h"
 #include "holoclean/io/binary_io.h"
 #include "holoclean/io/session_snapshot.h"
+#include "holoclean/model/feature_registry.h"
 #include "holoclean/stats/cooccurrence.h"
 #include "holoclean/util/hash.h"
 #include "holoclean/util/rng.h"
+#include "oracle/reference.h"
 
 #include "session_helpers.h"
 
@@ -38,14 +42,10 @@ struct PipelineRun {
   Report report;
 };
 
-PipelineRun RunFood(size_t rows, uint64_t seed, bool columnar,
-                    size_t threads) {
+PipelineRun RunOver(std::unique_ptr<GeneratedData> data,
+                    const HoloCleanConfig& config) {
   PipelineRun run;
-  run.data = std::make_unique<GeneratedData>(MakeFood({rows, 0.06, seed}));
-  HoloCleanConfig config;
-  config.tau = 0.5;
-  config.columnar = columnar;
-  config.num_threads = threads;
+  run.data = std::move(data);
   auto opened = test_helpers::OpenSessionOver(config, &run.data->dataset,
                                               run.data->dcs);
   EXPECT_TRUE(opened.ok());
@@ -56,24 +56,22 @@ PipelineRun RunFood(size_t rows, uint64_t seed, bool columnar,
   return run;
 }
 
-PipelineRun RunHospital(size_t rows, uint64_t seed, bool columnar,
-                        size_t threads) {
-  PipelineRun run;
+PipelineRun RunFood(size_t rows, uint64_t seed, size_t threads) {
+  HoloCleanConfig config;
+  config.tau = 0.5;
+  config.num_threads = threads;
+  return RunOver(std::make_unique<GeneratedData>(MakeFood({rows, 0.06, seed})),
+                 config);
+}
+
+PipelineRun RunHospital(size_t rows, uint64_t seed, size_t threads) {
   HospitalOptions options;
   options.num_rows = rows;
   options.seed = seed;
-  run.data = std::make_unique<GeneratedData>(MakeHospital(options));
   HoloCleanConfig config;
-  config.columnar = columnar;
   config.num_threads = threads;
-  auto opened = test_helpers::OpenSessionOver(config, &run.data->dataset,
-                                              run.data->dcs);
-  EXPECT_TRUE(opened.ok());
-  run.session = std::make_unique<Session>(std::move(opened).value());
-  auto report = run.session->Run();
-  EXPECT_TRUE(report.ok());
-  run.report = std::move(report).value();
-  return run;
+  return RunOver(std::make_unique<GeneratedData>(MakeHospital(options)),
+                 config);
 }
 
 void ExpectViolationsIdentical(const std::vector<Violation>& a,
@@ -91,63 +89,81 @@ void ExpectViolationsIdentical(const std::vector<Violation>& a,
   }
 }
 
-void ExpectGraphsIdentical(const FactorGraph& a, const FactorGraph& b) {
-  ASSERT_EQ(a.num_variables(), b.num_variables());
-  for (size_t v = 0; v < a.num_variables(); ++v) {
-    const Variable& x = a.variables()[v];
-    const Variable& y = b.variables()[v];
-    EXPECT_EQ(x.cell, y.cell) << "var " << v;
-    EXPECT_EQ(x.domain, y.domain) << "var " << v;
-    EXPECT_EQ(x.init_index, y.init_index) << "var " << v;
-    EXPECT_EQ(x.is_evidence, y.is_evidence) << "var " << v;
-    EXPECT_EQ(x.prior_bias, y.prior_bias) << "var " << v;
-    EXPECT_EQ(x.feat_begin, y.feat_begin) << "var " << v;
-    ASSERT_EQ(x.features.size(), y.features.size()) << "var " << v;
-    for (size_t f = 0; f < x.features.size(); ++f) {
-      EXPECT_EQ(x.features[f].weight_key, y.features[f].weight_key)
-          << "var " << v << " feature " << f;
-      EXPECT_EQ(x.features[f].activation, y.features[f].activation)
-          << "var " << v << " feature " << f;
+void ExpectCoocIdentical(const std::vector<AttrId>& attrs,
+                         const CooccurrenceStats& a,
+                         const oracle::Cooccurrence& ref) {
+  EXPECT_EQ(a.num_pair_entries(), ref.num_pair_entries());
+  for (AttrId x : attrs) {
+    ASSERT_EQ(a.Domain(x), ref.Domain(x)) << "attr " << x;
+    for (ValueId v : a.Domain(x)) {
+      EXPECT_EQ(a.Count(x, v), ref.Count(x, v));
     }
-  }
-  ASSERT_EQ(a.dc_factors().size(), b.dc_factors().size());
-  for (size_t f = 0; f < a.dc_factors().size(); ++f) {
-    const DcFactor& x = a.dc_factors()[f];
-    const DcFactor& y = b.dc_factors()[f];
-    EXPECT_EQ(x.dc_index, y.dc_index) << "factor " << f;
-    EXPECT_EQ(x.t1, y.t1) << "factor " << f;
-    EXPECT_EQ(x.t2, y.t2) << "factor " << f;
-    EXPECT_EQ(x.weight, y.weight) << "factor " << f;
-    EXPECT_EQ(x.var_ids, y.var_ids) << "factor " << f;
+    for (AttrId y : attrs) {
+      if (x == y) continue;
+      for (ValueId ctx : a.Domain(y)) {
+        ASSERT_EQ(a.CooccurringValues(x, y, ctx),
+                  ref.CooccurringValues(x, y, ctx))
+            << "attrs (" << x << "," << y << ") ctx " << ctx;
+        for (const auto& [v, count] : a.CooccurringValues(x, y, ctx)) {
+          EXPECT_EQ(a.PairCount(x, v, y, ctx), count);
+          EXPECT_EQ(ref.PairCount(x, v, y, ctx), count);
+          EXPECT_EQ(a.CondProb(x, v, y, ctx), ref.CondProb(x, v, y, ctx));
+        }
+      }
+    }
   }
 }
 
-void ExpectRunsIdentical(const PipelineRun& col, const PipelineRun& row) {
-  const PipelineContext& a = col.session->context();
-  const PipelineContext& b = row.session->context();
-  ExpectViolationsIdentical(a.violations, b.violations);
-  // Noisy set: same cells in the same first-seen order.
-  ASSERT_EQ(a.noisy.size(), b.noisy.size());
-  for (size_t i = 0; i < a.noisy.cells().size(); ++i) {
-    EXPECT_EQ(a.noisy.cells()[i], b.noisy.cells()[i]) << "noisy cell " << i;
+/// Each variable's domain is the reference candidate set of its cell, and
+/// each candidate's feature list opens with the reference context features
+/// — no other co-occurrence or conditional-probability feature follows.
+void ExpectContextFeaturesMatch(const PipelineContext& ctx,
+                                const oracle::Cooccurrence& cooc,
+                                const PrunedDomains& domains) {
+  const Table& table = ctx.dataset->dirty();
+  const FactorGraph& graph = ctx.graph;
+  for (size_t v = 0; v < graph.num_variables(); ++v) {
+    const Variable& var = graph.variables()[v];
+    EXPECT_EQ(var.domain, domains.For(var.cell)) << "var " << v;
+    ASSERT_EQ(var.feat_begin.size(), var.domain.size() + 1) << "var " << v;
+    for (size_t k = 0; k < var.domain.size(); ++k) {
+      std::vector<FeatureInstance> ref = oracle::ContextFeatures(
+          table, ctx.attrs, cooc, var.cell, var.domain[k]);
+      const size_t begin = static_cast<size_t>(var.feat_begin[k]);
+      const size_t end = static_cast<size_t>(var.feat_begin[k + 1]);
+      ASSERT_LE(begin + ref.size(), end) << "var " << v << " candidate " << k;
+      for (size_t f = 0; f < ref.size(); ++f) {
+        const FeatureInstance& got = var.features[begin + f];
+        EXPECT_EQ(got.weight_key, ref[f].weight_key)
+            << "var " << v << " candidate " << k << " feature " << f;
+        EXPECT_EQ(got.activation, ref[f].activation)
+            << "var " << v << " candidate " << k << " feature " << f;
+      }
+      for (size_t f = begin + ref.size(); f < end; ++f) {
+        FeatureKind kind = WeightKeyCodec::Kind(var.features[f].weight_key);
+        EXPECT_NE(kind, FeatureKind::kCooccurrence)
+            << "var " << v << " candidate " << k << " feature " << f - begin;
+        EXPECT_NE(kind, FeatureKind::kCondProb)
+            << "var " << v << " candidate " << k << " feature " << f - begin;
+      }
+    }
   }
-  // Pruned candidate domains (unordered_map equality is order-free).
-  EXPECT_TRUE(a.domains.candidates == b.domains.candidates);
-  ExpectGraphsIdentical(a.graph, b.graph);
-  // Repairs and posteriors, bit for bit.
-  ASSERT_EQ(col.report.repairs.size(), row.report.repairs.size());
-  for (size_t i = 0; i < col.report.repairs.size(); ++i) {
-    const Repair& x = col.report.repairs[i];
-    const Repair& y = row.report.repairs[i];
+}
+
+void ExpectReportsIdentical(const Report& a, const Report& b) {
+  ASSERT_EQ(a.repairs.size(), b.repairs.size());
+  for (size_t i = 0; i < a.repairs.size(); ++i) {
+    const Repair& x = a.repairs[i];
+    const Repair& y = b.repairs[i];
     EXPECT_EQ(x.cell, y.cell) << "repair " << i;
     EXPECT_EQ(x.old_value, y.old_value) << "repair " << i;
     EXPECT_EQ(x.new_value, y.new_value) << "repair " << i;
     EXPECT_EQ(x.probability, y.probability) << "repair " << i;
   }
-  ASSERT_EQ(col.report.posteriors.size(), row.report.posteriors.size());
-  for (size_t i = 0; i < col.report.posteriors.size(); ++i) {
-    const CellPosterior& x = col.report.posteriors[i];
-    const CellPosterior& y = row.report.posteriors[i];
+  ASSERT_EQ(a.posteriors.size(), b.posteriors.size());
+  for (size_t i = 0; i < a.posteriors.size(); ++i) {
+    const CellPosterior& x = a.posteriors[i];
+    const CellPosterior& y = b.posteriors[i];
     EXPECT_EQ(x.cell, y.cell) << "posterior " << i;
     EXPECT_EQ(x.old_value, y.old_value) << "posterior " << i;
     EXPECT_EQ(x.map_value, y.map_value) << "posterior " << i;
@@ -155,31 +171,75 @@ void ExpectRunsIdentical(const PipelineRun& col, const PipelineRun& row) {
   }
 }
 
+/// Replays a finished run on the reference in tests/oracle/ over the run's
+/// own inputs (table, constraints, config, evidence sample) and checks
+/// every detect/compile artifact against the run's, bit for bit. Then
+/// learns and infers on the reference interpreter over the run's graph,
+/// re-extracts repairs from that, and checks the report.
+void ExpectRunMatchesOracle(PipelineRun* run) {
+  PipelineContext& ctx = run->session->context();
+  const Table& table = ctx.dataset->dirty();
+  const HoloCleanConfig& config = ctx.config;
+
+  ViolationDetector::Options detect_options;
+  detect_options.sim_threshold = config.sim_threshold;
+  DetectResult detected = oracle::DetectAll(table, *ctx.dcs, detect_options);
+  ExpectViolationsIdentical(ctx.violations, detected.violations);
+  EXPECT_EQ(run->report.stats.num_truncated_dcs,
+            detected.truncated_dcs.size());
+  // Noisy set: same cells in the same first-seen order.
+  NoisyCells noisy =
+      ViolationDetector::NoisyFromViolations(detected.violations);
+  ASSERT_EQ(ctx.noisy.size(), noisy.size());
+  for (size_t i = 0; i < noisy.cells().size(); ++i) {
+    EXPECT_EQ(ctx.noisy.cells()[i], noisy.cells()[i]) << "noisy cell " << i;
+  }
+
+  oracle::Cooccurrence cooc = oracle::BuildCooccurrence(table, ctx.attrs);
+  ExpectCoocIdentical(ctx.attrs, ctx.cooc, cooc);
+
+  DomainPruningOptions prune_options;
+  prune_options.tau = config.tau;
+  prune_options.max_candidates = config.max_candidates;
+  std::vector<CellRef> cells = noisy.cells();
+  cells.insert(cells.end(), ctx.evidence_cells.begin(),
+               ctx.evidence_cells.end());
+  PrunedDomains domains =
+      oracle::PruneDomains(table, cells, ctx.attrs, cooc, prune_options);
+  // Unordered_map equality is order-free.
+  EXPECT_TRUE(domains.candidates == ctx.domains.candidates);
+  ExpectContextFeaturesMatch(ctx, cooc, domains);
+
+  ctx.weights = oracle::Learn(ctx);
+  ctx.marginals = oracle::Infer(ctx, ctx.weights);
+  run->session->Invalidate(StageId::kRepair);
+  auto replayed = run->session->Run();
+  ASSERT_TRUE(replayed.ok()) << replayed.status();
+  ExpectReportsIdentical(run->report, replayed.value());
+}
+
 TEST(ColumnarPipeline, BitIdenticalToRowPathAcrossSeeds) {
   for (uint64_t seed : {11u, 12u}) {
-    PipelineRun col = RunFood(400, seed, /*columnar=*/true, /*threads=*/1);
-    PipelineRun row = RunFood(400, seed, /*columnar=*/false, /*threads=*/1);
-    ExpectRunsIdentical(col, row);
+    PipelineRun run = RunFood(400, seed, /*threads=*/1);
+    ExpectRunMatchesOracle(&run);
   }
 }
 
 TEST(ColumnarPipeline, BitIdenticalAcrossThreadCounts) {
-  // The columnar path parallelizes per-DC detection, co-occurrence
-  // counting, and domain pruning across the pool; the output must not
-  // depend on the pool size (the row reference runs single-threaded).
-  PipelineRun row = RunFood(400, 21, /*columnar=*/false, /*threads=*/1);
+  // The scans parallelize per-DC detection, co-occurrence counting, and
+  // domain pruning across the pool; the output must not depend on the
+  // pool size (the reference runs single-threaded).
   for (size_t threads : {size_t{1}, size_t{4}}) {
-    PipelineRun col = RunFood(400, 21, /*columnar=*/true, threads);
-    ExpectRunsIdentical(col, row);
+    PipelineRun run = RunFood(400, 21, threads);
+    ExpectRunMatchesOracle(&run);
   }
 }
 
 TEST(ColumnarPipeline, BitIdenticalOnHospitalProfile) {
   // A second data profile: few distinct values per column with heavy
   // duplication — the opposite dictionary shape from Food.
-  PipelineRun col = RunHospital(150, 101, /*columnar=*/true, /*threads=*/4);
-  PipelineRun row = RunHospital(150, 101, /*columnar=*/false, /*threads=*/1);
-  ExpectRunsIdentical(col, row);
+  PipelineRun run = RunHospital(150, 101, /*threads=*/4);
+  ExpectRunMatchesOracle(&run);
 }
 
 // ---------- Co-occurrence differential ----------
@@ -205,41 +265,16 @@ Table RandomTable(size_t rows, size_t attrs, uint64_t seed,
   return t;
 }
 
-void ExpectCoocIdentical(const Table& t, const std::vector<AttrId>& attrs,
-                         const CooccurrenceStats& a,
-                         const CooccurrenceStats& b) {
-  EXPECT_EQ(a.num_pair_entries(), b.num_pair_entries());
-  for (AttrId x : attrs) {
-    ASSERT_EQ(a.Domain(x), b.Domain(x)) << "attr " << x;
-    for (ValueId v : a.Domain(x)) {
-      EXPECT_EQ(a.Count(x, v), b.Count(x, v));
-    }
-    for (AttrId y : attrs) {
-      if (x == y) continue;
-      for (ValueId ctx : a.Domain(y)) {
-        ASSERT_EQ(a.CooccurringValues(x, y, ctx),
-                  b.CooccurringValues(x, y, ctx))
-            << "attrs (" << x << "," << y << ") ctx " << ctx;
-        for (const auto& [v, count] : a.CooccurringValues(x, y, ctx)) {
-          EXPECT_EQ(a.PairCount(x, v, y, ctx), count);
-          EXPECT_EQ(b.PairCount(x, v, y, ctx), count);
-          EXPECT_EQ(a.CondProb(x, v, y, ctx), b.CondProb(x, v, y, ctx));
-        }
-      }
-    }
-  }
-}
-
 TEST(ColumnarCooccurrence, BuildColumnarMatchesBuildOnRandomTables) {
   for (uint64_t seed : {1u, 2u, 3u}) {
     Table t = RandomTable(300, 4, seed, 12);
     std::vector<AttrId> attrs = {0, 1, 2, 3};
-    CooccurrenceStats row = CooccurrenceStats::Build(t, attrs);
-    CooccurrenceStats col = CooccurrenceStats::BuildColumnar(t, attrs);
-    ExpectCoocIdentical(t, attrs, col, row);
+    oracle::Cooccurrence ref = oracle::BuildCooccurrence(t, attrs);
+    ExpectCoocIdentical(attrs, CooccurrenceStats::BuildColumnar(t, attrs),
+                        ref);
     ThreadPool pool(4);
-    CooccurrenceStats par = CooccurrenceStats::BuildColumnar(t, attrs, &pool);
-    ExpectCoocIdentical(t, attrs, par, row);
+    ExpectCoocIdentical(
+        attrs, CooccurrenceStats::BuildColumnar(t, attrs, &pool), ref);
   }
 }
 
@@ -254,16 +289,17 @@ TEST(ColumnarCooccurrence, MatchesAfterCellMutations) {
     t.SetString(tid, attr, "w" + std::to_string(rng.Next() % 5));
   }
   std::vector<AttrId> attrs = {0, 1, 2};
-  ExpectCoocIdentical(t, attrs, CooccurrenceStats::BuildColumnar(t, attrs),
-                      CooccurrenceStats::Build(t, attrs));
+  ExpectCoocIdentical(attrs, CooccurrenceStats::BuildColumnar(t, attrs),
+                      oracle::BuildCooccurrence(t, attrs));
 }
 
 // ---------- Detection fallback / truncation differential ----------
 
 TEST(ColumnarDetect, TruncationDifferentialAndFlag) {
   // A constraint with no equality predicate falls back to the capped
-  // brute-force pair scan. Both paths must truncate at the same point,
-  // report the same truncated set, and emit identical violations.
+  // brute-force pair scan. The scan and the reference must truncate at
+  // the same point, report the same truncated set, and emit identical
+  // violations.
   Table t(Schema({"Name", "Score"}), std::make_shared<Dictionary>());
   Rng rng(5);
   for (int i = 0; i < 60; ++i) {
@@ -278,27 +314,27 @@ TEST(ColumnarDetect, TruncationDifferentialAndFlag) {
 
   ViolationDetector::Options options;
   options.max_fallback_pairs = 500;  // 60 rows -> 1770 pairs: truncates.
-  options.columnar = true;
-  DetectResult col = ViolationDetector(&t, &dcs.value(), options).DetectAll();
-  options.columnar = false;
-  DetectResult row = ViolationDetector(&t, &dcs.value(), options).DetectAll();
+  DetectResult scan = ViolationDetector(&t, &dcs.value(), options).DetectAll();
+  DetectResult ref = oracle::DetectAll(t, dcs.value(), options);
 
-  ASSERT_EQ(col.truncated_dcs, std::vector<int>{0});
-  ASSERT_EQ(row.truncated_dcs, std::vector<int>{0});
-  ExpectViolationsIdentical(col.violations, row.violations);
+  ASSERT_EQ(scan.truncated_dcs, std::vector<int>{0});
+  ASSERT_EQ(ref.truncated_dcs, std::vector<int>{0});
+  ExpectViolationsIdentical(scan.violations, ref.violations);
 
   // A budget that covers the full scan reports no truncation.
   options.max_fallback_pairs = 4'000'000;
-  options.columnar = true;
   DetectResult full = ViolationDetector(&t, &dcs.value(), options).DetectAll();
   EXPECT_TRUE(full.truncated_dcs.empty());
-  EXPECT_GT(full.violations.size(), col.violations.size());
+  EXPECT_GT(full.violations.size(), scan.violations.size());
+  ExpectViolationsIdentical(full.violations,
+                            oracle::DetectAll(t, dcs.value(), options)
+                                .violations);
 }
 
 TEST(ColumnarDetect, RunStatsDefaultUntruncated) {
   // The session surfaces truncation in RunStats; the default budget is
   // far above these sizes, so the flag must stay clear.
-  PipelineRun run = RunFood(200, 4, /*columnar=*/true, /*threads=*/1);
+  PipelineRun run = RunFood(200, 4, /*threads=*/1);
   EXPECT_FALSE(run.report.stats.detect_truncated);
   EXPECT_EQ(run.report.stats.num_truncated_dcs, 0u);
 }

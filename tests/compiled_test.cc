@@ -240,7 +240,8 @@ struct RunInstance {
           options.num_rows = 150;
           return MakeHospital(options);
         }()) {
-    auto opened = OpenStandaloneSession(CleaningInputs::Borrowed(&data.dataset, &data.dcs), {config});
+    auto opened =
+        test_helpers::OpenSessionOver(config, &data.dataset, data.dcs);
     EXPECT_TRUE(opened.ok()) << opened.status();
     if (!opened.ok()) return;
     session.emplace(std::move(opened).value());
@@ -392,7 +393,8 @@ TEST(CompiledKernel, ViolationTablesMatchEvaluatorExhaustively) {
   HospitalOptions options;
   options.num_rows = 150;
   GeneratedData fresh = MakeHospital(options);
-  auto opened = OpenStandaloneSession(CleaningInputs::Borrowed(&fresh.dataset, &fresh.dcs), {FactorConfig()});
+  auto opened =
+      test_helpers::OpenSessionOver(FactorConfig(), &fresh.dataset, fresh.dcs);
   ASSERT_TRUE(opened.ok());
   Session session = std::move(opened).value();
   ASSERT_TRUE(session.RunThrough(StageId::kCompile).ok());
@@ -487,8 +489,7 @@ void CheckSnapshotBytesIdentical(uint32_t format_version, SectionCodec codec) {
   config.gibbs_burn_in = 2;
   config.gibbs_samples = 6;
   config.epochs = 3;
-  auto session = OpenStandaloneSession(
-      CleaningInputs::Borrowed(&data.dataset, &data.dcs), {config});
+  auto session = test_helpers::OpenSessionOver(config, &data.dataset, data.dcs);
   ASSERT_TRUE(session.ok());
   ASSERT_TRUE(session.value().Run().ok());
   ASSERT_TRUE(session.value().Save(paths.comp_path, save).ok());
@@ -530,7 +531,8 @@ TEST(CompiledGraph, ParallelBuildByteIdenticalToSequential) {
   HospitalOptions options;
   options.num_rows = 150;
   GeneratedData fresh = MakeHospital(options);
-  auto opened = OpenStandaloneSession(CleaningInputs::Borrowed(&fresh.dataset, &fresh.dcs), {FactorConfig()});
+  auto opened =
+      test_helpers::OpenSessionOver(FactorConfig(), &fresh.dataset, fresh.dcs);
   ASSERT_TRUE(opened.ok());
   Session session = std::move(opened).value();
   ASSERT_TRUE(session.RunThrough(StageId::kCompile).ok());

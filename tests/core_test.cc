@@ -185,8 +185,8 @@ TEST(Pipeline, DeterministicForSeed) {
   PipelineFixture f2;
   HoloCleanConfig config;
   config.seed = 7;
-  auto r1 = CleanOnce(CleaningInputs::Borrowed(&f1.dataset, &f1.dcs), {config});
-  auto r2 = CleanOnce(CleaningInputs::Borrowed(&f2.dataset, &f2.dcs), {config});
+  auto r1 = test_helpers::RunOnce(config, &f1.dataset, f1.dcs);
+  auto r2 = test_helpers::RunOnce(config, &f2.dataset, f2.dcs);
   ASSERT_TRUE(r1.ok());
   ASSERT_TRUE(r2.ok());
   ASSERT_EQ(r1.value().repairs.size(), r2.value().repairs.size());
@@ -265,10 +265,10 @@ TEST(Session, StagedRunMatchesLegacyRunExactly) {
   config.gibbs_burn_in = 10;
   config.gibbs_samples = 40;
 
-  auto legacy = CleanOnce(CleaningInputs::Borrowed(&f1.dataset, &f1.dcs), {config});
+  auto legacy = test_helpers::RunOnce(config, &f1.dataset, f1.dcs);
   ASSERT_TRUE(legacy.ok());
 
-  auto opened = OpenStandaloneSession(CleaningInputs::Borrowed(&f2.dataset, &f2.dcs), {config});
+  auto opened = test_helpers::OpenSessionOver(config, &f2.dataset, f2.dcs);
   ASSERT_TRUE(opened.ok());
   Session session = std::move(opened).value();
   auto staged = session.Run();
@@ -342,7 +342,7 @@ TEST(Session, RerunFromInferReusesCachedGraph) {
   config.partitioning = true;
   config.gibbs_burn_in = 10;
   config.gibbs_samples = 40;
-  auto opened = OpenStandaloneSession(CleaningInputs::Borrowed(&f.dataset, &f.dcs), {config});
+  auto opened = test_helpers::OpenSessionOver(config, &f.dataset, f.dcs);
   ASSERT_TRUE(opened.ok());
   Session session = std::move(opened).value();
 
@@ -406,7 +406,7 @@ TEST(Session, UpdateConfigInvalidatesMinimalSuffix) {
   config.tau = 0.3;
   config.dc_mode = DcMode::kBoth;
   config.partitioning = true;
-  auto opened = OpenStandaloneSession(CleaningInputs::Borrowed(&f.dataset, &f.dcs), {config});
+  auto opened = test_helpers::OpenSessionOver(config, &f.dataset, f.dcs);
   ASSERT_TRUE(opened.ok());
   Session session = std::move(opened).value();
   ASSERT_TRUE(session.Run().ok());
@@ -441,7 +441,7 @@ TEST(Session, CachedStagesReportZeroLegacySeconds) {
   PipelineFixture f;
   HoloCleanConfig config;
   config.tau = 0.3;
-  auto opened = OpenStandaloneSession(CleaningInputs::Borrowed(&f.dataset, &f.dcs), {config});
+  auto opened = test_helpers::OpenSessionOver(config, &f.dataset, f.dcs);
   ASSERT_TRUE(opened.ok());
   Session session = std::move(opened).value();
   auto first = session.Run();
@@ -477,7 +477,7 @@ TEST(Session, PinCellSkipsDetectionAndRemovesQueryVariable) {
   PipelineFixture f;
   HoloCleanConfig config;
   config.tau = 0.3;
-  auto opened = OpenStandaloneSession(CleaningInputs::Borrowed(&f.dataset, &f.dcs), {config});
+  auto opened = test_helpers::OpenSessionOver(config, &f.dataset, f.dcs);
   ASSERT_TRUE(opened.ok());
   Session session = std::move(opened).value();
   auto first = session.Run();

@@ -74,7 +74,7 @@ TEST(EngineBatch, BitIdenticalToSequentialStandaloneRunsAnyPoolSize) {
     auto data = MakeVariant(i);
     HoloCleanConfig job_config = config;
     job_config.seed = Engine::PerJobSeed(config.seed, i);
-    auto report = CleanOnce(CleaningInputs::Borrowed(&data->dataset, &data->dcs), {job_config});
+    auto report = test_helpers::RunOnce(job_config, &data->dataset, data->dcs);
     ASSERT_TRUE(report.ok()) << report.status().ToString();
     baseline.push_back(std::move(report).value());
   }

@@ -26,7 +26,7 @@ TEST(Integration, HospitalHoloCleanHighPrecisionGoodRecall) {
   GeneratedData data = MakeHospital({600, 0.05, 51});
   HoloCleanConfig config;
   config.tau = 0.5;
-  auto report = CleanOnce(CleaningInputs::Borrowed(&data.dataset, &data.dcs), {config});
+  auto report = test_helpers::RunOnce(config, &data.dataset, data.dcs);
   ASSERT_TRUE(report.ok());
   EvalResult e = EvaluateRepairs(data.dataset, report.value().repairs);
   EXPECT_GT(e.precision, 0.9);
@@ -38,7 +38,7 @@ TEST(Integration, HospitalBeatsAllBaselines) {
   GeneratedData data = MakeHospital({600, 0.05, 52});
   HoloCleanConfig config;
   config.tau = 0.5;
-  auto report = CleanOnce(CleaningInputs::Borrowed(&data.dataset, &data.dcs), {config});
+  auto report = test_helpers::RunOnce(config, &data.dataset, data.dcs);
   ASSERT_TRUE(report.ok());
   double holo = EvaluateRepairs(data.dataset, report.value().repairs).f1;
   double holistic =
@@ -59,7 +59,7 @@ TEST(Integration, FlightsTrustBeatsMinimality) {
   GeneratedData data = MakeFlights(options);
   HoloCleanConfig config;
   config.tau = 0.3;
-  auto report = CleanOnce(CleaningInputs::Borrowed(&data.dataset, &data.dcs), {config});
+  auto report = test_helpers::RunOnce(config, &data.dataset, data.dcs);
   ASSERT_TRUE(report.ok());
   EvalResult holo = EvaluateRepairs(data.dataset, report.value().repairs);
   EvalResult holistic =
@@ -74,7 +74,7 @@ TEST(Integration, FoodNonSystematicErrors) {
   GeneratedData data = MakeFood({1500, 0.06, 53});
   HoloCleanConfig config;
   config.tau = 0.5;
-  auto report = CleanOnce(CleaningInputs::Borrowed(&data.dataset, &data.dcs), {config});
+  auto report = test_helpers::RunOnce(config, &data.dataset, data.dcs);
   ASSERT_TRUE(report.ok());
   EvalResult holo = EvaluateRepairs(data.dataset, report.value().repairs);
   EvalResult holistic =
@@ -94,7 +94,7 @@ TEST(Integration, PhysiciansSystematicErrors) {
   GeneratedData data = MakePhysicians(options);
   HoloCleanConfig config;
   config.tau = 0.7;
-  auto report = CleanOnce(CleaningInputs::Borrowed(&data.dataset, &data.dcs), {config});
+  auto report = test_helpers::RunOnce(config, &data.dataset, data.dcs);
   ASSERT_TRUE(report.ok());
   EvalResult holo = EvaluateRepairs(data.dataset, report.value().repairs);
   EXPECT_GT(holo.precision, 0.9);
@@ -109,7 +109,7 @@ TEST(Integration, ExternalDictImprovesOrMatchesFood) {
   GeneratedData with = MakeFood({1500, 0.06, 54});
   HoloCleanConfig config;
   config.tau = 0.5;
-  auto base = CleanOnce(CleaningInputs::Borrowed(&without.dataset, &without.dcs), {config});
+  auto base = test_helpers::RunOnce(config, &without.dataset, without.dcs);
   auto dict = test_helpers::RunOnce(config, &with.dataset, with.dcs, &with.dicts,
                                     &with.mds);
   ASSERT_TRUE(base.ok());
@@ -125,7 +125,7 @@ TEST(Integration, CalibrationErrorRateDecreases) {
   GeneratedData data = MakeHospital({800, 0.08, 55});
   HoloCleanConfig config;
   config.tau = 0.3;
-  auto report = CleanOnce(CleaningInputs::Borrowed(&data.dataset, &data.dcs), {config});
+  auto report = test_helpers::RunOnce(config, &data.dataset, data.dcs);
   ASSERT_TRUE(report.ok());
   auto buckets = ComputeCalibration(data.dataset, report.value().repairs);
   // Compare the aggregate low-confidence vs high-confidence error rate
@@ -151,9 +151,9 @@ TEST(Integration, PartitioningPreservesQuality) {
   config.tau = 0.5;
   config.dc_mode = DcMode::kBoth;
   config.partitioning = false;
-  auto full = CleanOnce(CleaningInputs::Borrowed(&a.dataset, &a.dcs), {config});
+  auto full = test_helpers::RunOnce(config, &a.dataset, a.dcs);
   config.partitioning = true;
-  auto part = CleanOnce(CleaningInputs::Borrowed(&b.dataset, &b.dcs), {config});
+  auto part = test_helpers::RunOnce(config, &b.dataset, b.dcs);
   ASSERT_TRUE(full.ok());
   ASSERT_TRUE(part.ok());
   double f1_full = EvaluateRepairs(a.dataset, full.value().repairs).f1;
@@ -170,10 +170,10 @@ TEST(Integration, RelaxedModelMatchesFactorModelQuality) {
   HoloCleanConfig config;
   config.tau = 0.5;
   config.dc_mode = DcMode::kFeatures;
-  auto relaxed = CleanOnce(CleaningInputs::Borrowed(&a.dataset, &a.dcs), {config});
+  auto relaxed = test_helpers::RunOnce(config, &a.dataset, a.dcs);
   config.dc_mode = DcMode::kBoth;
   config.partitioning = true;
-  auto factors = CleanOnce(CleaningInputs::Borrowed(&b.dataset, &b.dcs), {config});
+  auto factors = test_helpers::RunOnce(config, &b.dataset, b.dcs);
   ASSERT_TRUE(relaxed.ok());
   ASSERT_TRUE(factors.ok());
   double f1_relaxed =
@@ -189,7 +189,7 @@ TEST(Integration, RepairedTableHasFewerViolations) {
   size_t violations_before = before.Detect().size();
   HoloCleanConfig config;
   config.tau = 0.5;
-  auto report = CleanOnce(CleaningInputs::Borrowed(&data.dataset, &data.dcs), {config});
+  auto report = test_helpers::RunOnce(config, &data.dataset, data.dcs);
   ASSERT_TRUE(report.ok());
   Table repaired = data.dataset.dirty().Clone();
   report.value().Apply(&repaired);

@@ -105,7 +105,7 @@ struct PruningFixture {
     for (int i = 0; i < 2; ++i) table.AppendRow({"Evanston", "60608"});
     table.AppendRow({"Cicago", "60608"});  // The noisy cell (t10, City).
     attrs = {0, 1};
-    cooc = CooccurrenceStats::Build(table, attrs);
+    cooc = CooccurrenceStats::BuildColumnar(table, attrs);
   }
   Table table;
   std::vector<AttrId> attrs;
@@ -116,7 +116,7 @@ TEST(DomainPruning, ThresholdSelectsCooccurringValues) {
   PruningFixture f;
   DomainPruningOptions options;
   options.tau = 0.5;
-  PrunedDomains domains = PruneDomains(
+  PrunedDomains domains = PruneDomainsColumnar(
       f.table, {{10, 0}}, f.attrs, f.cooc, options);
   const auto& cand = domains.For({10, 0});
   // Init value always first, then Chicago (8/11 >= 0.5).
@@ -139,10 +139,10 @@ TEST(DomainPruning, LowerTauGivesSupersetProperty) {
     low_options.tau = 0.3;
     DomainPruningOptions high_options;
     high_options.tau = hi;
-    PrunedDomains low = PruneDomains(f.table, cells, f.attrs, f.cooc,
-                                     low_options);
-    PrunedDomains high = PruneDomains(f.table, cells, f.attrs, f.cooc,
-                                      high_options);
+    PrunedDomains low = PruneDomainsColumnar(f.table, cells, f.attrs,
+                                             f.cooc, low_options);
+    PrunedDomains high = PruneDomainsColumnar(f.table, cells, f.attrs,
+                                              f.cooc, high_options);
     for (const CellRef& c : cells) {
       for (ValueId v : high.For(c)) {
         const auto& low_cand = low.For(c);
@@ -159,7 +159,7 @@ TEST(DomainPruning, InitValueAlwaysIncluded) {
   DomainPruningOptions options;
   options.tau = 0.99;  // Prunes almost everything.
   PrunedDomains domains =
-      PruneDomains(f.table, {{10, 0}}, f.attrs, f.cooc, options);
+      PruneDomainsColumnar(f.table, {{10, 0}}, f.attrs, f.cooc, options);
   const auto& cand = domains.For({10, 0});
   ASSERT_FALSE(cand.empty());
   EXPECT_EQ(cand[0], f.table.Get(10, 0));
@@ -170,19 +170,20 @@ TEST(DomainPruning, MaxCandidatesCap) {
   for (int i = 0; i < 50; ++i) {
     t.AppendRow({"a" + std::to_string(i), "ctx"});
   }
-  CooccurrenceStats cooc = CooccurrenceStats::Build(t, {0, 1});
+  CooccurrenceStats cooc = CooccurrenceStats::BuildColumnar(t, {0, 1});
   DomainPruningOptions options;
   options.tau = 0.0;
   options.max_candidates = 5;
-  PrunedDomains domains = PruneDomains(t, {{0, 0}}, {0, 1}, cooc, options);
+  PrunedDomains domains =
+      PruneDomainsColumnar(t, {{0, 0}}, {0, 1}, cooc, options);
   EXPECT_LE(domains.For({0, 0}).size(), 6u);  // Cap + init value.
 }
 
 TEST(DomainPruning, TotalCandidatesSums) {
   PruningFixture f;
   DomainPruningOptions options;
-  PrunedDomains domains = PruneDomains(f.table, {{10, 0}, {0, 0}}, f.attrs,
-                                       f.cooc, options);
+  PrunedDomains domains = PruneDomainsColumnar(
+      f.table, {{10, 0}, {0, 0}}, f.attrs, f.cooc, options);
   EXPECT_EQ(domains.TotalCandidates(),
             domains.For({10, 0}).size() + domains.For({0, 0}).size());
 }
@@ -252,7 +253,7 @@ struct GroundingFixture {
         table.schema());
     EXPECT_TRUE(parsed.ok());
     dcs = parsed.value();
-    cooc = CooccurrenceStats::Build(table, attrs);
+    cooc = CooccurrenceStats::BuildColumnar(table, attrs);
     ViolationDetector detector(&table, &dcs);
     violations = detector.Detect();
     noisy = ViolationDetector::NoisyFromViolations(violations);
@@ -266,7 +267,7 @@ struct GroundingFixture {
     prune.tau = 0.2;
     std::vector<CellRef> all = noisy.cells();
     all.insert(all.end(), evidence.begin(), evidence.end());
-    domains = PruneDomains(table, all, attrs, cooc, prune);
+    domains = PruneDomainsColumnar(table, all, attrs, cooc, prune);
 
     input.table = &table;
     input.dcs = &dcs;

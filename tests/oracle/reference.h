@@ -1,27 +1,114 @@
-// Reference interpreter for the learn and infer stages: the oracle the
-// compiled kernel (SgdLearner::Train, ExactIndependentMarginals and
-// GibbsSampler over a CompiledGraph) is pinned against, bit for bit.
+// Reference implementations of the pipeline's scans and kernels: the
+// oracle the production code is pinned against, bit for bit.
+//
+//  - Detect and compile: row-at-a-time violation detection, co-occurrence
+//    counting, Algorithm-2 domain pruning and the grounder's context
+//    features, against ViolationDetector, CooccurrenceStats::BuildColumnar,
+//    PruneDomainsColumnar and Grounder.
+//  - Learn and infer: the reference interpreter, against the compiled
+//    kernel (SgdLearner::Train, ExactIndependentMarginals and GibbsSampler
+//    over a CompiledGraph).
 //
 // Rule: this is plain reference code, called only by tests and benches,
-// never by src/. It reads the model the direct way — unary scores through
-// FactorGraph::UnaryScore and WeightStore lookups, DC factors through a
-// DcEvaluator — so it stays obviously correct rather than fast. Keep it
-// that way: an optimization belongs in the compiled kernel, with a
-// differential test against this file.
+// never by src/. It reads the data and the model the direct way — cells
+// through Table::Get, predicates through a DcEvaluator, unary scores
+// through FactorGraph::UnaryScore and WeightStore lookups — so it stays
+// obviously correct rather than fast. Keep it that way: an optimization
+// belongs in src/, with a differential test against this file.
 
 #ifndef HOLOCLEAN_TESTS_ORACLE_REFERENCE_H_
 #define HOLOCLEAN_TESTS_ORACLE_REFERENCE_H_
 
+#include <cstdint>
+#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "holoclean/core/pipeline_context.h"
+#include "holoclean/detect/violation_detector.h"
 #include "holoclean/infer/gibbs.h"
 #include "holoclean/infer/learner.h"
 #include "holoclean/infer/marginals.h"
+#include "holoclean/model/domain_pruning.h"
 #include "holoclean/model/factor_graph.h"
 
 namespace holoclean {
 namespace oracle {
+
+// --- Detect and compile -----------------------------------------------------
+
+/// Violations of every constraint, in constraint order, each constraint's
+/// list in discovery order. A single-tuple constraint checks every tuple
+/// with DcEvaluator::ViolatesSingle. A two-tuple constraint buckets the
+/// tuples by the values they give its cross-tuple equality predicates in
+/// the t2 role (buckets in ascending tuple order), then checks each tuple
+/// in the t1 role against its bucket with DcEvaluator::Violates. One
+/// without an equality predicate checks the pairs (i, j), i != j, in
+/// row-major order until `options.max_fallback_pairs` pairs are spent, and
+/// is then reported truncated. A violating pair is reported once per
+/// unordered tuple pair, oriented as first found. `options.pool` is
+/// ignored.
+DetectResult DetectAll(const Table& table,
+                       const std::vector<DenialConstraint>& dcs,
+                       const ViolationDetector::Options& options);
+
+/// Co-occurrence statistics counted row by row. The accessors have
+/// CooccurrenceStats' names and meaning, so a test reads both the same way.
+class Cooccurrence {
+ public:
+  int Count(AttrId a, ValueId v) const;
+  /// Values of `a` seen with (a_ctx = v_ctx) and their pair counts,
+  /// ascending by value.
+  const std::vector<std::pair<ValueId, int>>& CooccurringValues(
+      AttrId a, AttrId a_ctx, ValueId v_ctx) const;
+  int PairCount(AttrId a, ValueId v, AttrId a_ctx, ValueId v_ctx) const;
+  double CondProb(AttrId a, ValueId v, AttrId a_ctx, ValueId v_ctx) const;
+  /// Distinct non-null values of `a`, ascending.
+  const std::vector<ValueId>& Domain(AttrId a) const;
+  size_t num_pair_entries() const { return num_pair_entries_; }
+
+ private:
+  friend Cooccurrence BuildCooccurrence(const Table& table,
+                                        const std::vector<AttrId>& attrs);
+
+  /// (a, v) -> #tuples with a = v.
+  std::unordered_map<uint64_t, int> counts_;
+  /// (a, a_ctx, v_ctx) -> CooccurringValues.
+  std::unordered_map<uint64_t, std::vector<std::pair<ValueId, int>>> runs_;
+  std::vector<std::vector<ValueId>> domains_;
+  size_t num_pair_entries_ = 0;
+};
+
+/// For every tuple, every ordered pair (a, a_ctx) of distinct attributes
+/// of `attrs` whose cells are both non-NULL counts one co-occurrence;
+/// every non-NULL cell counts one occurrence of its value.
+Cooccurrence BuildCooccurrence(const Table& table,
+                               const std::vector<AttrId>& attrs);
+
+/// Algorithm 2 per cell: every value v of the cell's attribute with
+/// #(v, v_ctx) >= tau * #v_ctx for some non-NULL context cell of the tuple
+/// scores its best such pair count; with no context at all, every value of
+/// the attribute scores its frequency (when `frequency_fallback`). The
+/// observed value comes first, then the top `max_candidates` values by
+/// (score descending, value ascending).
+PrunedDomains PruneDomains(const Table& table,
+                           const std::vector<CellRef>& cells,
+                           const std::vector<AttrId>& attrs,
+                           const Cooccurrence& cooc,
+                           const DomainPruningOptions& options);
+
+/// The features the grounder gives `candidate` of `cell` first, one pair
+/// per non-NULL context cell (a_ctx = v_ctx) of the tuple, in `attrs`
+/// order: the co-occurrence indicator (kCooccurrence, activation 1), then,
+/// when Pr[candidate | v_ctx] > 0, the conditional probability
+/// (kCondProb, activation Pr).
+std::vector<FeatureInstance> ContextFeatures(const Table& table,
+                                             const std::vector<AttrId>& attrs,
+                                             const Cooccurrence& cooc,
+                                             const CellRef& cell,
+                                             ValueId candidate);
+
+// --- Learn and infer --------------------------------------------------------
 
 /// SGD over every evidence variable of `graph`: per epoch one shuffle of
 /// the evidence order, then per example the softmax of the unary scores,

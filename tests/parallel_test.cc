@@ -184,7 +184,7 @@ TEST_P(ThreadCountSweep, PipelineRepairsIdentical) {
     config.partitioning = true;
     config.gibbs_burn_in = 5;
     config.gibbs_samples = 20;
-    auto report = CleanOnce(CleaningInputs::Borrowed(&data.dataset, &data.dcs), {config});
+    auto report = test_helpers::RunOnce(config, &data.dataset, data.dcs);
     EXPECT_TRUE(report.ok());
     return report.value().repairs;
   };

@@ -11,6 +11,8 @@
 #include "holoclean/detect/violation_detector.h"
 #include "holoclean/model/domain_pruning.h"
 
+#include "session_helpers.h"
+
 namespace holoclean {
 namespace {
 
@@ -22,7 +24,7 @@ TEST_P(TauSweep, CandidateCountShrinksWithTau) {
   GeneratedData data = MakeHospital({400, 0.05, 61});
   std::vector<AttrId> attrs = data.dataset.RepairableAttrs();
   CooccurrenceStats cooc =
-      CooccurrenceStats::Build(data.dataset.dirty(), attrs);
+      CooccurrenceStats::BuildColumnar(data.dataset.dirty(), attrs);
   ViolationDetector detector(&data.dataset.dirty(), &data.dcs);
   NoisyCells noisy =
       ViolationDetector::NoisyFromViolations(detector.Detect());
@@ -32,10 +34,12 @@ TEST_P(TauSweep, CandidateCountShrinksWithTau) {
   DomainPruningOptions here;
   here.tau = GetParam();
   size_t low_count =
-      PruneDomains(data.dataset.dirty(), noisy.cells(), attrs, cooc, low)
+      PruneDomainsColumnar(data.dataset.dirty(), noisy.cells(), attrs, cooc,
+                           low)
           .TotalCandidates();
   size_t here_count =
-      PruneDomains(data.dataset.dirty(), noisy.cells(), attrs, cooc, here)
+      PruneDomainsColumnar(data.dataset.dirty(), noisy.cells(), attrs, cooc,
+                           here)
           .TotalCandidates();
   EXPECT_LE(here_count, low_count);
 }
@@ -44,7 +48,7 @@ TEST_P(TauSweep, PipelineProducesValidMarginals) {
   GeneratedData data = MakeHospital({300, 0.05, 62});
   HoloCleanConfig config;
   config.tau = GetParam();
-  auto report = CleanOnce(CleaningInputs::Borrowed(&data.dataset, &data.dcs), {config});
+  auto report = test_helpers::RunOnce(config, &data.dataset, data.dcs);
   ASSERT_TRUE(report.ok());
   for (const CellPosterior& p : report.value().posteriors) {
     EXPECT_GT(p.map_prob, 0.0);
@@ -67,7 +71,7 @@ TEST(TauTradeoff, RecallDecreasesAcrossSweep) {
     GeneratedData data = MakeFood({1200, 0.06, 63});
     HoloCleanConfig config;
     config.tau = 0.3;
-    auto report = CleanOnce(CleaningInputs::Borrowed(&data.dataset, &data.dcs), {config});
+    auto report = test_helpers::RunOnce(config, &data.dataset, data.dcs);
     ASSERT_TRUE(report.ok());
     recall_low = EvaluateRepairs(data.dataset, report.value().repairs).recall;
   }
@@ -75,7 +79,7 @@ TEST(TauTradeoff, RecallDecreasesAcrossSweep) {
     GeneratedData data = MakeFood({1200, 0.06, 63});
     HoloCleanConfig config;
     config.tau = 0.9;
-    auto report = CleanOnce(CleaningInputs::Borrowed(&data.dataset, &data.dcs), {config});
+    auto report = test_helpers::RunOnce(config, &data.dataset, data.dcs);
     ASSERT_TRUE(report.ok());
     recall_high =
         EvaluateRepairs(data.dataset, report.value().repairs).recall;
@@ -91,7 +95,7 @@ TEST_P(ErrorRateSweep, PrecisionStaysHighOnHospital) {
   GeneratedData data = MakeHospital({400, GetParam(), 64});
   HoloCleanConfig config;
   config.tau = 0.5;
-  auto report = CleanOnce(CleaningInputs::Borrowed(&data.dataset, &data.dcs), {config});
+  auto report = test_helpers::RunOnce(config, &data.dataset, data.dcs);
   ASSERT_TRUE(report.ok());
   EvalResult e = EvaluateRepairs(data.dataset, report.value().repairs);
   EXPECT_GT(e.precision, 0.8) << "error rate " << GetParam();
@@ -128,7 +132,7 @@ TEST_P(SeedSweep, RepairsOnlyTouchNoisyCells) {
   NoisyCells noisy =
       ViolationDetector::NoisyFromViolations(detector.Detect());
   HoloCleanConfig config;
-  auto report = CleanOnce(CleaningInputs::Borrowed(&data.dataset, &data.dcs), {config});
+  auto report = test_helpers::RunOnce(config, &data.dataset, data.dcs);
   ASSERT_TRUE(report.ok());
   for (const Repair& r : report.value().repairs) {
     EXPECT_TRUE(noisy.Contains(r.cell));
@@ -138,7 +142,7 @@ TEST_P(SeedSweep, RepairsOnlyTouchNoisyCells) {
 TEST_P(SeedSweep, PosteriorsCoverEveryNoisyCell) {
   GeneratedData data = MakeHospital({200, 0.08, GetParam()});
   HoloCleanConfig config;
-  auto report = CleanOnce(CleaningInputs::Borrowed(&data.dataset, &data.dcs), {config});
+  auto report = test_helpers::RunOnce(config, &data.dataset, data.dcs);
   ASSERT_TRUE(report.ok());
   EXPECT_EQ(report.value().posteriors.size(),
             report.value().stats.num_noisy_cells);
@@ -153,10 +157,10 @@ TEST(Idempotence, SecondPassMakesFewRepairs) {
   GeneratedData data = MakeHospital({400, 0.05, 65});
   HoloCleanConfig config;
   config.tau = 0.5;
-  auto first = CleanOnce(CleaningInputs::Borrowed(&data.dataset, &data.dcs), {config});
+  auto first = test_helpers::RunOnce(config, &data.dataset, data.dcs);
   ASSERT_TRUE(first.ok());
   first.value().Apply(&data.dataset.dirty());
-  auto second = CleanOnce(CleaningInputs::Borrowed(&data.dataset, &data.dcs), {config});
+  auto second = test_helpers::RunOnce(config, &data.dataset, data.dcs);
   ASSERT_TRUE(second.ok());
   EXPECT_LT(second.value().repairs.size(),
             first.value().repairs.size() / 2 + 5);

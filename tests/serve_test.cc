@@ -222,22 +222,24 @@ TEST(ServeProtocol, ConfigOverridesApplyAndRejectUnknownKeys) {
   // Untouched knobs keep their defaults.
   EXPECT_EQ(config.gibbs_samples, HoloCleanConfig().gibbs_samples);
 
-  // The retired compiled_kernel knob is a type-checked no-op on the
-  // stable protocol: a bool leaves the config as it was, anything else is
-  // still rejected. dc_table_cap was never a wire key.
+  // The retired compiled_kernel and columnar knobs are type-checked
+  // no-ops on the stable protocol: a bool leaves the config as it was,
+  // anything else is still rejected. dc_table_cap was never a wire key.
   HoloCleanConfig before = config;
-  for (bool on : {false, true}) {
-    JsonValue retired = JsonValue::Object();
-    retired.Set("compiled_kernel", JsonValue::Bool(on));
-    ASSERT_TRUE(serve::ApplyConfigOverrides(retired, &config).ok());
-    EXPECT_EQ(ConfigFingerprint(config), ConfigFingerprint(before));
-    EXPECT_EQ(config.columnar, before.columnar);
-    EXPECT_EQ(config.num_threads, before.num_threads);
+  for (const char* knob : {"compiled_kernel", "columnar"}) {
+    for (bool on : {false, true}) {
+      JsonValue retired = JsonValue::Object();
+      retired.Set(knob, JsonValue::Bool(on));
+      ASSERT_TRUE(serve::ApplyConfigOverrides(retired, &config).ok()) << knob;
+      EXPECT_EQ(ConfigFingerprint(config), ConfigFingerprint(before)) << knob;
+      EXPECT_EQ(config.num_threads, before.num_threads) << knob;
+    }
+    JsonValue retired_number = JsonValue::Object();
+    retired_number.Set(knob, JsonValue::Number(0));
+    EXPECT_EQ(serve::ApplyConfigOverrides(retired_number, &config).code(),
+              StatusCode::kInvalidArgument)
+        << knob;
   }
-  JsonValue retired_number = JsonValue::Object();
-  retired_number.Set("compiled_kernel", JsonValue::Number(0));
-  EXPECT_EQ(serve::ApplyConfigOverrides(retired_number, &config).code(),
-            StatusCode::kInvalidArgument);
   JsonValue cap = JsonValue::Object();
   cap.Set("dc_table_cap", JsonValue::Number(16));
   EXPECT_EQ(serve::ApplyConfigOverrides(cap, &config).code(),
@@ -560,9 +562,10 @@ TEST(ServeServer, DrainThenRestartRestoresWarmStateBitIdentically) {
 }
 
 TEST(ServeServer, RestoreAcceptsManifestCarryingRetiredKernelKnobs) {
-  // Drain manifests written before compiled_kernel and dc_table_cap were
-  // retired carry both keys in every session config; such a manifest must
-  // still bring the parked session back warm and bit-identical.
+  // Drain manifests written before compiled_kernel, dc_table_cap and
+  // columnar were retired carry those keys in every session config; such a
+  // manifest must still bring the parked session back warm and
+  // bit-identical.
   ServerOptions options = FastServerOptions();
   options.state_directory = FreshDir("drain_retired_knobs");
   const std::string manifest_path = options.state_directory + "/manifest.json";
@@ -588,10 +591,13 @@ TEST(ServeServer, RestoreAcceptsManifestCarryingRetiredKernelKnobs) {
     text << in.rdbuf();
     manifest = text.str();
   }
-  const std::string anchor = "\"columnar\":";
+  EXPECT_EQ(manifest.find("\"columnar\":"), std::string::npos) << manifest;
+  const std::string anchor = "\"seed\":";
   size_t at = manifest.find(anchor);
   ASSERT_NE(at, std::string::npos) << manifest;
-  manifest.insert(at, "\"compiled_kernel\":false,\"dc_table_cap\":16,");
+  manifest.insert(at,
+                  "\"columnar\":false,\"compiled_kernel\":false,"
+                  "\"dc_table_cap\":16,");
   std::ofstream(manifest_path) << manifest;
 
   CleaningServer second(options);

@@ -19,9 +19,11 @@ inline Result<Session> OpenSessionOver(
     const ExtDictCollection* dicts = nullptr,
     const std::vector<MatchingDependency>* mds = nullptr,
     const DetectorSuite* extra_detectors = nullptr) {
+  SessionOptions options;
+  options.config = config;
   return OpenStandaloneSession(
       CleaningInputs::Borrowed(dataset, &dcs, dicts, mds, extra_detectors),
-      {config});
+      options);
 }
 
 inline Result<Session> RestoreSessionOver(
@@ -46,9 +48,11 @@ inline Result<Report> RunOnce(
     const ExtDictCollection* dicts = nullptr,
     const std::vector<MatchingDependency>* mds = nullptr,
     const DetectorSuite* extra_detectors = nullptr) {
+  SessionOptions options;
+  options.config = config;
   return CleanOnce(
       CleaningInputs::Borrowed(dataset, &dcs, dicts, mds, extra_detectors),
-      {config});
+      options);
 }
 
 }  // namespace test_helpers

@@ -833,7 +833,9 @@ Status RunCli(const CliOptions& options) {
       CleaningInputs::Borrowed(&dataset, &dcs, dicts_arg, mds_arg);
   Report report;
   if (!options.use_session) {
-    HOLO_ASSIGN_OR_RETURN(full, CleanOnce(inputs, {options.config}));
+    SessionOptions session_options;
+    session_options.config = options.config;
+    HOLO_ASSIGN_OR_RETURN(full, CleanOnce(inputs, session_options));
     report = std::move(full);
   } else {
     StageId last = options.last_stage;
